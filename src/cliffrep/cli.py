@@ -226,8 +226,7 @@ def cmd_search(args) -> int:
     hits = constructors.random_search(ring, f, args.d, args.t,
                                       seed=args.seed, budget=args.budget)
     report = Report(subject=f"search d={args.d} t={args.t} over {ring.field.name}",
-                    seed=args.seed, budgets={"budget": args.budget,
-                                             "threads": args.threads})
+                    seed=args.seed, budgets={"budget": args.budget})
     for k, hit in enumerate(hits):
         label = f"hit{k}"
         report.add(label, PASS,
@@ -355,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; search is "
-                        "seed-striped sequentially")
     p.add_argument("--out-dir")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)

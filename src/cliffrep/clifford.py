@@ -16,10 +16,9 @@ from . import linalg
 from .errors import (DivisionFails, InputError, InternalInconsistency,
                      UnsupportedBase)
 from .pencil import LinearPencil, assemble, pencil_power, specialize
-from .poly import Poly, PolyRing
-from .polymat import (PolyMatrix, block_diagonal, identity_matrix, kron,
-                      mat_mul, mat_shape, mat_sub, poly_matrix_det,
-                      scalar_matrix)
+from .poly import Poly, PolyRing, monomials
+from .polymat import (PolyMatrix, block_diagonal, mat_mul, mat_shape, mat_sub,
+                      poly_matrix_det, scalar_matrix)
 
 
 class CliffordRep:
@@ -116,6 +115,14 @@ def verify_relation(rep: CliffordRep) -> RelationCertificate:
     return RelationCertificate(True, rep.size, rep.d, rep._index)
 
 
+def _require_relation(rep: CliffordRep, what: str) -> CliffordRep:
+    """Verify a rep built from verified parts; a failure is a program fault."""
+    cert = verify_relation(rep)
+    if not cert.passed:
+        raise InternalInconsistency(f"{what} failed its own relation: {cert.describe()}")
+    return rep
+
+
 @dataclass(frozen=True)
 class DetFactorization:
     unit: object     # nonzero field scalar c
@@ -159,9 +166,7 @@ def conjugate(rep: CliffordRep, theta: list) -> CliffordRep:
     mats = [mat_mul(mat_mul(th, [list(row) for row in m]), th_inv)
             for m in rep.pencil.matrices]
     out = CliffordRep(LinearPencil(ring, mats), rep.f, rep.d, rep.notes)
-    if rep.verified:
-        assert verify_relation(out).passed
-    return out
+    return _require_relation(out, "conjugate") if rep.verified else out
 
 
 def specialize_rep(rep: CliffordRep, point: dict) -> CliffordRep:
@@ -176,15 +181,9 @@ def specialize_rep(rep: CliffordRep, point: dict) -> CliffordRep:
 
 def _base_monomials(ring: PolyRing, max_degree: int) -> list[tuple]:
     """Exponent tuples supported on the base variables, degree <= max_degree."""
-    nf, nb = ring.fiber_count, ring.base_count
-    monos = []
-    for total in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(nb), total):
-            exp = [0] * (nf + nb)
-            for i in combo:
-                exp[nf + i] += 1
-            monos.append(tuple(exp))
-    return monos
+    fiber = (0,) * ring.fiber_count
+    return [fiber + mono for total in range(max_degree + 1)
+            for mono in monomials(ring.base_count, total)]
 
 
 def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
@@ -386,62 +385,27 @@ def direct_sum(rep1: CliffordRep, rep2: CliffordRep) -> CliffordRep:
     out = CliffordRep(LinearPencil(rep1.ring, mats), rep1.f, rep1.d,
                       rep1.notes + rep2.notes)
     if rep1.verified and rep2.verified:
-        assert verify_relation(out).passed
+        return _require_relation(out, "direct_sum")
     return out
 
 
 def twist_by_free(rep: CliffordRep, mult: int) -> CliffordRep:
-    """Tensor with a free module of rank mult: every A_i becomes A_i (x) I."""
+    """Tensor with a free module of rank mult: every A_i becomes I (x) A_i.
+
+    That is mult diagonal copies of A_i, a rep equivalent to A_i (x) I by a
+    permutation of the basis.
+    """
     if mult < 1:
         raise InputError("multiplicity must be >= 1")
     if mult == 1:
         return rep
-    eye = identity_matrix(rep.ring, mult)
-    mats = [kron([list(r) for r in m], eye) for m in rep.pencil.matrices]
+    mats = [block_diagonal([[list(r) for r in m]] * mult)
+            for m in rep.pencil.matrices]
     out = CliffordRep(LinearPencil(rep.ring, mats), rep.f, rep.d, rep.notes)
-    if rep.verified:
-        assert verify_relation(out).passed
-    return out
+    return _require_relation(out, "twist_by_free") if rep.verified else out
 
 
 # -- irreducibility --------------------------------------------------------------
-
-
-class _Echelon:
-    """Incremental row echelon basis over a field."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: dict[int, list] = {}  # pivot position -> normalized vector
-
-    def reduce(self, vec: list) -> list:
-        v = vec[:]
-        field = self.field
-        for pos in range(len(v)):
-            if not v[pos]:
-                continue
-            row = self.rows.get(pos)
-            if row is None:
-                continue
-            c = v[pos]
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec: list) -> bool:
-        v = self.reduce(vec)
-        for pos, x in enumerate(v):
-            if x:
-                inv = self.field.inv(x)
-                self.rows[pos] = [self.field.mul(inv, y) for y in v]
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def vectors(self) -> list[list]:
-        return [self.rows[pos] for pos in sorted(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -452,40 +416,54 @@ class IrreducibilityResult:
     detail: str = ""
 
 
+def _closure(field, vectors: list, act) -> list[list]:
+    """RREF basis of the smallest space containing vectors and closed under act.
+
+    act maps a list of row vectors to the list of all their images.  Each
+    round acts only on the rows whose pivot column is new: the images of the
+    previous round's span are already in, so every basis direction meets
+    the generators once.
+    """
+    basis, pivots = linalg.rref(field, vectors)
+    basis = basis[:len(pivots)]
+    new = basis
+    while new and len(pivots) < len(basis[0]):
+        old = set(pivots)
+        basis, pivots = linalg.rref(field, basis + act(new))
+        basis = basis[:len(pivots)]
+        new = [row for row, c in zip(basis, pivots) if c not in old]
+    return basis
+
+
 def _generated_algebra_dim(field, mats: list, size: int) -> int:
     """Dimension of the unital algebra generated by the matrices.
 
-    Product saturation: grow an echelon basis of flattened matrices, closing
-    under right multiplication by the generators.
+    Product saturation: the span of flattened matrices, closed under right
+    multiplication by the generators.
     """
-    ech = _Echelon(field)
-    eye = [[field.one if i == j else field.zero for j in range(size)]
-           for i in range(size)]
-    work = []
-    for m in [eye] + mats:
-        if ech.add([x for row in m for x in row]):
-            work.append(m)
-    while work:
-        current = work.pop()
+    def right_products(rows):
+        stacked = [v[i:i + size] for v in rows for i in range(0, size * size, size)]
+        out = []
         for g in mats:
-            prod = linalg.mat_mul(field, current, g)
-            if ech.add([x for row in prod for x in row]):
-                work.append(prod)
-    return ech.dim
+            prod = linalg.mat_mul(field, stacked, g)
+            out += [[x for row in prod[k:k + size] for x in row]
+                    for k in range(0, len(prod), size)]
+        return out
+
+    eye = [field.one if i == j else field.zero
+           for i in range(size) for j in range(size)]
+    flat = [[x for row in m for x in row] for m in mats]
+    return len(_closure(field, [eye] + flat, right_products))
 
 
-def _spin(field, mats: list, vec: list, size: int) -> list[list]:
-    """Smallest subspace containing vec and invariant under all matrices."""
-    ech = _Echelon(field)
-    ech.add(vec)
-    work = [vec]
-    while work and ech.dim < size:
-        v = work.pop()
-        for m in mats:
-            w = linalg.mat_vec(field, m, v)
-            if ech.add(w):
-                work.append(w)
-    return ech.vectors()
+def _spin(field, mats: list, vec: list) -> list[list]:
+    """RREF basis of the smallest subspace containing vec and invariant under mats."""
+    transposed = [[list(col) for col in zip(*m)] for m in mats]
+
+    def images(rows):  # row v maps to (m v)^T = v m^T
+        return [w for mt in transposed for w in linalg.mat_mul(field, rows, mt)]
+
+    return _closure(field, [vec], images)
 
 
 def irreducibility_check(rep: CliffordRep, seed: int = 0,
@@ -525,7 +503,7 @@ def irreducibility_check(rep: CliffordRep, seed: int = 0,
     for v in candidates:
         if not any(v):
             continue
-        span = _spin(field, mats, v, size)
+        span = _spin(field, mats, v)
         if 0 < len(span) < size:
             return IrreducibilityResult(
                 "reducible", algebra_dim, subspace=span,

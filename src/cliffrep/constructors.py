@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .clifford import CliffordRep, equivalence_test, verify_relation
+from .clifford import (CliffordRep, _require_relation, equivalence_test,
+                       verify_relation)
 from .errors import (GammaConstructionError, InputError, InternalInconsistency,
                      NondiagonalInput, NotHomogeneous, RotationMismatch)
 from .fields import Field
@@ -18,13 +19,6 @@ from .pencil import LinearPencil, MFPair, extract
 from .poly import Poly, PolyRing
 from .polymat import (PolyMatrix, mat_eq, mat_mul, mat_shape, scalar_matrix,
                       zero_matrix)
-
-
-def _assert_relation(rep: CliffordRep, what: str) -> CliffordRep:
-    cert = verify_relation(rep)
-    if not cert.passed:
-        raise InternalInconsistency(f"{what} failed its own relation: {cert.describe()}")
-    return rep
 
 
 # -- degree one ----------------------------------------------------------------
@@ -35,7 +29,7 @@ def hyperplane_rep(f: Poly) -> CliffordRep:
     f.require_y_homogeneous(1, "hyperplane form")
     ring = f.ring
     mats = [[[f.coefficient_of_fiber_var(i)]] for i in range(ring.fiber_count)]
-    return _assert_relation(
+    return _require_relation(
         CliffordRep(LinearPencil(ring, mats), f, 1), "hyperplane_rep")
 
 
@@ -135,7 +129,7 @@ def clock_shift_rep(form: SplitBinaryForm) -> CliffordRep:
         notes = ("non-reduced form: repeated roots "
                  + ", ".join(str(c) for c in form.roots),)
     rep = CliffordRep(extract(matrix), form.f, d, notes)
-    return _assert_relation(rep, "clock_shift_rep")
+    return _require_relation(rep, "clock_shift_rep")
 
 
 # -- diagonal quadrics ------------------------------------------------------------
@@ -266,7 +260,7 @@ def gamma_quadric_rep(ring: PolyRing, coeffs) -> CliffordRep:
         y = ring.var(ring.names[i])
         f = f + (y * y).scale(a)
     rep = CliffordRep(LinearPencil(ring, mats), f, 2)
-    return _assert_relation(rep, "gamma_quadric_rep")
+    return _require_relation(rep, "gamma_quadric_rep")
 
 
 def _check_gamma_relations(field: Field, gens: list, coeffs: list):
@@ -351,7 +345,7 @@ def cyclic_block_rep(factors: list[PolyMatrix], f: Poly) -> CliffordRep:
             for b in range(size):
                 block[i * size + a][col * size + b] = m[a][b]
     rep = CliffordRep(extract(block), f, d)
-    return _assert_relation(rep, "cyclic_block_rep")
+    return _require_relation(rep, "cyclic_block_rep")
 
 
 # -- brute-force search --------------------------------------------------------------
@@ -370,7 +364,9 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
     """Sample random pencils over GF(p), keep relation hits, dedupe by equivalence.
 
     Candidates failing the cheap necessary conditions A_i^d = f(e_i)*I are
-    rejected before any symbolic work.  Deterministic for a fixed seed.
+    rejected before any symbolic work: each power is compared with the
+    scalar matrices f(e_i)*I, built once before sampling.  Deterministic for
+    a fixed seed.
     """
     field = ring.field
     if field.kind != "GF":
@@ -387,7 +383,9 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
     for i in range(nfib):
         point = {name: 0 for name in ring.names[:nfib]}
         point[ring.names[i]] = 1
-        targets.append(f.evaluate(point).constant())
+        value = f.evaluate(point).constant()
+        targets.append([[value if r == c else 0 for c in range(t)]
+                        for r in range(t)])
     rng = random.Random(seed)
     hits: list[list] = []  # [rep, sample_index, count, maybe_duplicate]
     for sample in range(budget):
@@ -395,8 +393,7 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
                 for _ in range(nfib)]
         ok = True
         for m, target in zip(mats, targets):
-            power = linalg.modp_mat_pow(m, d, p) if d > 1 else m
-            if not linalg.modp_is_scalar(power, target, p):
+            if linalg.modp_mat_pow(m, d, p) != target:
                 ok = False
                 break
         if not ok:

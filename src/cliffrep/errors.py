@@ -76,7 +76,11 @@ class DivisionFails(CliffrepError):
 
 
 class InternalInconsistency(CliffrepError):
-    """A passing relation with d not dividing t; should be impossible."""
+    """An invariant the program guarantees failed; should be impossible.
+
+    Raised, e.g., for a passing relation with d not dividing t, or a rep
+    built from verified parts that fails its own relation.
+    """
 
 
 class NondiagonalInput(InputError):

@@ -1,16 +1,20 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of scalars (Fractions over QQ, residues over
-GF(p)).  Prime fields with p < 2^31 get a vectorized numpy mod-p elimination;
-everything else runs the generic exact path.  Integer matrices destined for
-QQ ranks use a mod-p certificate with a fraction-free integer fallback, so
-results are exact in every case.
+This is the only code that multiplies, powers or eliminates matrices of
+scalars.  Matrices are lists of row lists of scalars (Fractions over QQ,
+residues over GF(p)).  Prime fields with p < 2^31 get a vectorized numpy
+mod-p elimination; everything else runs the generic exact path.  Integer
+matrices destined for QQ ranks use a mod-p certificate with a fraction-free
+integer fallback, so results are exact in every case.
 """
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
-from .fields import Field
+from .errors import InternalInconsistency
+from .fields import Field, prime_field
 
 _NP_LIMIT = 1 << 31  # products must fit in int64
 
@@ -142,31 +146,31 @@ def inv(field: Field, mat: list) -> list | None:
 
 
 def mat_vec(field: Field, mat: list, vec: list) -> list:
-    out = []
-    for row in mat:
-        acc = field.zero
-        for x, v in zip(row, vec):
-            if x and v:
-                acc = field.add(acc, field.mul(x, v))
-        out.append(acc)
-    return out
+    return [row[0] for row in mat_mul(field, mat, [[v] for v in vec])]
 
 
 def mat_mul(field: Field, a: list, b: list) -> list:
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append([
-            _dot(field, row, col) for col in bt])
+    """Product a*b; each entry is one plain sum of products, reduced once mod p.
+
+    Over QQ zero factors are skipped: a Fraction product costs far more than
+    the test, and the matrices here are sparse.
+    """
+    cols = list(zip(*b))
+    if field.kind == "GF":
+        p = field.p
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    zero = field.zero
+    return [[sum((x * y for x, y in zip(row, col) if x and y), zero)
+             for col in cols] for row in a]
+
+
+def modp_mat_pow(a: list, d: int, p: int) -> list:
+    """a^d over GF(p) for d >= 1, with a given as plain ints."""
+    field = prime_field(p)
+    out = a
+    for _ in range(d - 1):
+        out = mat_mul(field, out, a)
     return out
-
-
-def _dot(field: Field, row, col):
-    acc = field.zero
-    for x, y in zip(row, col):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 # -- exact ranks of integer matrices (for rationals) ---------------------------
@@ -214,7 +218,9 @@ def _rank_int_bareiss(mat: list) -> int:
             for j in range(c + 1, cols):
                 num = pivot_val * ai[j] - f * pr[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination must divide exactly"
+                if rem:
+                    raise InternalInconsistency(
+                        "fraction-free elimination must divide exactly")
                 ai[j] = q
             ai[c] = 0
         prev = pivot_val
@@ -244,40 +250,3 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-# -- tiny dense helpers over GF(p) (plain ints, for hot loops) -----------------
-
-
-def modp_mat_mul(a: list, b: list, p: int) -> list:
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for l in range(k):
-            f = ai[l]
-            if f:
-                bl = b[l]
-                for j in range(m):
-                    oi[j] = (oi[j] + f * bl[j]) % p
-    return out
-
-
-def modp_mat_pow(a: list, d: int, p: int) -> list:
-    out = a
-    for _ in range(d - 1):
-        out = modp_mat_mul(out, a, p)
-    return out
-
-
-def modp_is_scalar(a: list, value: int, p: int) -> bool:
-    n = len(a)
-    value %= p
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] % p != (value if i == j else 0):
-                return False
-    return True

@@ -9,6 +9,8 @@ Polynomials are immutable; all arithmetic returns fresh values.
 """
 from __future__ import annotations
 
+import itertools
+
 from .errors import (ExponentOverflow, NotHomogeneous, RingMismatch,
                      UnknownVariable)
 from .fields import Field
@@ -93,6 +95,23 @@ class PolyRing:
     def without_base(self) -> "PolyRing":
         """The ring with the base variables dropped (m = 0)."""
         return PolyRing(self.field, 0, self.fiber_count)
+
+
+def monomials(nvars: int, degree: int) -> list[tuple]:
+    """Exponent tuples of the given total degree in nvars variables.
+
+    The order is that of ``itertools.combinations_with_replacement``; callers
+    index unknowns and matrix rows by it, so it must not change.
+    """
+    if degree < 0:
+        return []
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
 
 
 def _order_key(exp: tuple):

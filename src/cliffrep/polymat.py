@@ -1,12 +1,13 @@
 """Dense matrices with polynomial entries.
 
 Matrices are plain lists of row lists of Poly.  Everything here is exact;
-the determinant uses cofactor expansion up to size 6 and fraction-free
-Bareiss elimination (exact division in the polynomial ring) above that.
+the one symbolic determinant is fraction-free Bareiss elimination (exact
+division in the polynomial ring).  Matrices of plain field scalars belong to
+``linalg``.
 """
 from __future__ import annotations
 
-from .errors import ShapeMismatch
+from .errors import InternalInconsistency, ShapeMismatch
 from .poly import Poly, PolyRing
 
 PolyMatrix = list
@@ -94,19 +95,6 @@ def mat_evaluate(a: PolyMatrix, assignment: dict) -> PolyMatrix:
     return [[x.evaluate(assignment) for x in row] for row in a]
 
 
-def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product a (x) b."""
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    out = zero_matrix(mat_ring(a), ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
-    return out
-
-
 def block_diagonal(blocks: list[PolyMatrix]) -> PolyMatrix:
     ring = mat_ring(blocks[0])
     total = sum(mat_shape(b)[0] for b in blocks)
@@ -124,40 +112,13 @@ def block_diagonal(blocks: list[PolyMatrix]) -> PolyMatrix:
 # -- determinants ---------------------------------------------------------------
 
 
-def det_cofactor(m: PolyMatrix) -> Poly:
-    """Determinant by minor expansion along subsets of columns."""
-    n, c = mat_shape(m)
-    if n != c:
-        raise ShapeMismatch("determinant needs a square matrix")
-    ring = mat_ring(m)
-    # minors[frozenset of column indices] over the first len(cols) rows
-    minors = {(): ring.one()}
-    for row in range(n):
-        new: dict = {}
-        for cols, value in minors.items():
-            used = set(cols)
-            sign = 1
-            for j in range(n):
-                if j in used:
-                    continue
-                entry = m[row][j]
-                if not entry.is_zero():
-                    key = tuple(sorted(used | {j}))
-                    contrib = value * entry if sign > 0 else -(value * entry)
-                    if key in new:
-                        new[key] = new[key] + contrib
-                    else:
-                        new[key] = contrib
-                sign = -sign
-        minors = new
-    return minors.get(tuple(range(n)), ring.zero())
-
-
-def det_bareiss(m: PolyMatrix) -> Poly:
+def poly_matrix_det(m: PolyMatrix) -> Poly:
     """Fraction-free Bareiss determinant; divisions are exact by construction."""
     n, c = mat_shape(m)
     if n != c:
         raise ShapeMismatch("determinant needs a square matrix")
+    if n == 0:
+        raise ShapeMismatch("empty matrix has no determinant here")
     ring = mat_ring(m)
     a = [row[:] for row in m]
     sign = 1
@@ -176,24 +137,13 @@ def det_bareiss(m: PolyMatrix) -> Poly:
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
                 quo = num.exact_div(prev)
-                assert quo is not None, "Bareiss division must be exact"
+                if quo is None:
+                    raise InternalInconsistency("Bareiss division must be exact")
                 a[i][j] = quo
             a[i][k] = ring.zero()
         prev = pivot
     det = a[n - 1][n - 1]
     return det if sign > 0 else -det
-
-
-def poly_matrix_det(m: PolyMatrix) -> Poly:
-    """Exact determinant: cofactor expansion up to 6x6, Bareiss above."""
-    n, c = mat_shape(m)
-    if n != c:
-        raise ShapeMismatch("determinant needs a square matrix")
-    if n == 0:
-        raise ShapeMismatch("empty matrix has no determinant here")
-    if n <= 6:
-        return det_cofactor(m)
-    return det_bareiss(m)
 
 
 def adjugate(m: PolyMatrix) -> PolyMatrix:

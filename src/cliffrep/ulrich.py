@@ -10,7 +10,6 @@ case where the trivial bundle itself qualifies.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
@@ -21,8 +20,9 @@ from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
 from .fields import prime_field
 from .pencil import LinearPencil, assemble, mf_verify
-from .poly import Poly, PolyRing
-from .polymat import PolyMatrix, adjugate, mat_shape, poly_matrix_det
+from .poly import Poly, PolyRing, monomials
+from .polymat import (PolyMatrix, adjugate, mat_evaluate, mat_shape,
+                      poly_matrix_det)
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, Report
 
 
@@ -35,16 +35,29 @@ class GradedCokernel:
     hilbert: list[int]
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple]:
-    if degree < 0:
-        return []
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        exp = [0] * nvars
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return out
+# Any points give an exact answer; a constant seed keeps the work the same
+# on every run, whatever seed the caller passes.
+_DET_PROBE_SEED = 0
+_DET_PROBES = 4
+
+
+def _det_is_nonzero(matrix: PolyMatrix) -> bool:
+    """Whether det M != 0, proved by one full-rank value M(p) where possible.
+
+    A full-rank evaluation is an exact one-sided proof.  Only when every
+    probe point is singular (e.g. a small field where det M vanishes at
+    every point) does the symbolic determinant decide.
+    """
+    ring = matrix[0][0].ring
+    field = ring.field
+    rng = random.Random(_DET_PROBE_SEED)
+    for _ in range(_DET_PROBES):
+        point = {name: rng.randrange(field.p) if field.kind == "GF"
+                 else rng.randint(-9, 9) for name in ring.names}
+        values = [[x.constant() for x in row] for row in mat_evaluate(matrix, point)]
+        if linalg.rank_field_matrix(field, values) == len(matrix):
+            return True
+    return not poly_matrix_det(matrix).is_zero()
 
 
 def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
@@ -65,7 +78,7 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
             entry = matrix[i][j]
             if not entry.is_zero() and not entry.is_y_homogeneous(1):
                 raise InputError(f"entry ({i},{j}) is not linear")
-    if poly_matrix_det(matrix).is_zero():
+    if not _det_is_nonzero(matrix):
         raise InputError("det(M) = 0: the resolution is not exact and the "
                          "cokernel is not of the expected shape")
     field = ring.field
@@ -73,8 +86,8 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
     nvars = ring.fiber_count
     values = []
     for e in range(max_degree + 1):
-        source = _monomials(nvars, e - 1)
-        target = _monomials(nvars, e)
+        source = monomials(nvars, e - 1)
+        target = monomials(nvars, e)
         if not source:
             values.append(t * comb(nvars - 1 + e, nvars - 1))
             continue
@@ -166,7 +179,7 @@ def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
             for m in rep.pencil.matrices]
     reduced = CliffordRep(LinearPencil(target, mats), reduce_poly(rep.f),
                           rep.d, rep.notes)
-    if poly_matrix_det(assemble(reduced.pencil)).is_zero():
+    if not _det_is_nonzero(assemble(reduced.pencil)):
         raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
     if rep.verified:
         verify_relation(reduced)

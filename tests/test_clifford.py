@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
 import cliffrep as cr
+from cliffrep import linalg
 from cliffrep.errors import (DivisionFails, InputError, InternalInconsistency,
                              NotHomogeneous, UnsupportedBase)
 from conftest import (block_quadric_rep, clock_rep, paper_f, paper_phi,
@@ -196,6 +199,30 @@ def test_conjugation_invariance_random(gf7):
 # -- sums, twists, hom spaces ---------------------------------------------------------
 
 
+def test_reverification_failure_is_internal_inconsistency(qq):
+    # a rep stamped verified that fails its relation: every builder that
+    # re-verifies its output must report a program fault, also under -O
+    ring = quadric_ring(qq)
+    fake = cr.CliffordRep(cr.extract(paper_phi(ring)), paper_f(ring), 2)
+    fake._verified = True
+    with pytest.raises(InternalInconsistency):
+        cr.conjugate(fake, [[qq.one, qq.zero], [qq.zero, qq.one]])
+    with pytest.raises(InternalInconsistency):
+        cr.direct_sum(fake, fake)
+    with pytest.raises(InternalInconsistency):
+        cr.twist_by_free(fake, 2)
+
+
+def test_package_has_no_assert_statements():
+    # invariants must hold under python -O, which strips assert
+    root = pathlib.Path(cr.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
+
+
 def test_direct_sum_hyperplanes(qq):
     rep = hyperplane_22(qq)
     total = cr.direct_sum(rep, rep)
@@ -275,6 +302,20 @@ def test_direct_sum_reducible(block_rep_qq):
     assert len(result.subspace) == 4
     for vec in result.subspace:
         assert all(x == 0 for x in vec[4:])
+
+
+def test_reducible_witness_is_rref_and_invariant():
+    field = cr.prime_field(101)
+    rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, 3), [1, 2, 3])
+    double = cr.direct_sum(rep, rep)
+    result = cr.irreducibility_check(double)
+    assert result.verdict == "reducible"
+    basis = result.subspace
+    assert len(basis) == 4
+    assert linalg.rref(field, basis)[0] == basis
+    for m in double.scalar_matrices():
+        images = [linalg.mat_vec(field, m, v) for v in basis]
+        assert linalg.rank(field, basis + images) == len(basis)
 
 
 def test_irreducibility_inconclusive_over_qq(qq):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cliffrep as cr
+from cliffrep import linalg
 from cliffrep.errors import ShapeMismatch
 from conftest import paper_f, paper_phi, quadric_ring
 
@@ -50,11 +51,12 @@ def test_det_multiplicative_on_scalars():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("size", [4, 5])
-def test_bareiss_agrees_with_cofactor(size):
+@pytest.mark.parametrize("size", [4, 5, 7])
+def test_det_matches_pointwise_determinant(size):
+    # det(M) evaluated at a point equals the scalar determinant of M(point)
     ring = cr.PolyRing(cr.rationals(), 0, 2)
     rng = random.Random(size * 101)
-    for _ in range(25):
+    for _ in range(10):
         mat = []
         for _ in range(size):
             row = []
@@ -66,7 +68,11 @@ def test_bareiss_agrees_with_cofactor(size):
                         poly = poly + ring.var(name).scale(Fraction(c))
                 row.append(poly)
             mat.append(row)
-        assert cr.det_bareiss(mat) == cr.det_cofactor(mat)
+        det = cr.poly_matrix_det(mat)
+        for _ in range(3):
+            point = {"y0": rng.randint(-5, 5), "y1": rng.randint(-5, 5)}
+            values = [[x.evaluate(point).constant() for x in row] for row in mat]
+            assert det.evaluate(point).constant() == linalg.det(ring.field, values)
 
 
 def test_adjugate_identity(qq):
@@ -74,12 +80,3 @@ def test_adjugate_identity(qq):
     phi = paper_phi(ring)
     prod = cr.mat_mul(cr.adjugate(phi), phi)
     assert cr.mat_eq(prod, cr.scalar_matrix(paper_f(ring), 2))
-
-
-def test_large_bareiss_determinant():
-    # 7x7 goes through the Bareiss branch
-    ring = cr.PolyRing(cr.rationals(), 0, 1)
-    rng = random.Random(3)
-    mat = [[ring.const(rng.randint(-4, 4)) for _ in range(7)] for _ in range(7)]
-    direct = cr.det_cofactor(mat)
-    assert cr.poly_matrix_det(mat) == direct

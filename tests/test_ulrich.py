@@ -28,9 +28,23 @@ def test_hilbert_block_rep(block_rep_qq):
 
 def test_hilbert_rejects_singular_presentation(qq):
     ring = cr.PolyRing(qq, 0, 2)
-    matrix = [[ring.var("y0"), ring.zero()], [ring.zero(), ring.zero()]]
-    with pytest.raises(InputError):
-        cr.hilbert_function(matrix, 2)
+    y0, y1 = ring.var("y0"), ring.var("y1")
+    for matrix in ([[y0, ring.zero()], [ring.zero(), ring.zero()]],
+                   [[y0, y1], [y0 + y0, y1 + y1]],
+                   [[y0, y1, y0 - y1], [y1, y0, y1 - y0], [y0 + y1, y0 + y1, ring.zero()]]):
+        with pytest.raises(InputError):
+            cr.hilbert_function(matrix, 2)
+
+
+def test_hilbert_det_vanishing_at_every_point():
+    # det = y0*y1*(y0 + y1) is nonzero but vanishes on all of GF(2)^2, so
+    # no evaluation proves det != 0 and the symbolic determinant decides
+    ring = cr.PolyRing(cr.prime_field(2), 0, 2)
+    y0, y1 = ring.var("y0"), ring.var("y1")
+    matrix = cr.zero_matrix(ring, 3)
+    for i, entry in enumerate((y0, y1, y0 + y1)):
+        matrix[i][i] = entry
+    assert cr.hilbert_function(matrix, 4).hilbert == cr.expected_hilbert(3, 1, 4)
 
 
 def test_hilbert_requires_base_free(qq):

@@ -23,7 +23,7 @@ from .pencil import (LinearPencil, MFPair, MFReport, assemble, extract,
                      mf_verify, pencil_power, specialize)
 from .poly import Poly, PolyRing
 from .polymat import (adjugate, block_diagonal, identity_matrix, mat_eq,
-                      mat_mul, mat_power, poly_matrix_det, scalar_matrix,
+                      mat_mul, poly_matrix_det, scalar_matrix,
                       zero_matrix)
 from .ulrich import (CertificateConfig, CorankSummary, GradedCokernel,
                      UlrichCertificate, corank_sampling, expected_hilbert,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (DivisionFails, InputError, InternalInconsistency,
                      UnsupportedBase)
-from .pencil import LinearPencil, assemble, pencil_power, specialize
+from .pencil import (LinearPencil, assemble, coefficients, power_coefficients,
+                     specialize)
 from .poly import Poly, PolyRing, monomials
-from .polymat import (PolyMatrix, block_diagonal, mat_mul, mat_shape, mat_sub,
-                      poly_matrix_det, scalar_matrix)
+from .polymat import PolyMatrix, block_diagonal, mat_mul, poly_matrix_det
 
 
 class CliffordRep:
@@ -92,20 +92,27 @@ class RelationCertificate:
 
 
 def verify_relation(rep: CliffordRep) -> RelationCertificate:
-    """Check the symbolic identity M(y)^d = f*I entry by entry.
+    """Check the symbolic identity M(y)^d = f*I: every coefficient matrix of
+    M(y)^d - f*I must vanish; a failure names its first nonzero entry.
 
     On success the rep is stamped verified with r = t/d.  A passing relation
     with d not dividing t cannot happen for an honest form; it is reported as
     InternalInconsistency rather than silently accepted.
     """
     rep.f.require_y_homogeneous(rep.d, "Clifford form f")
-    power = pencil_power(rep.pencil, rep.d)
-    diff = mat_sub(power, scalar_matrix(rep.f, rep.size))
-    for i in range(rep.size):
-        for j in range(rep.size):
-            if not diff[i][j].is_zero():
-                return RelationCertificate(False, rep.size, rep.d,
-                                           witness=((i, j), diff[i][j]))
+    field = rep.ring.field
+    t = rep.size
+    diff = power_coefficients(rep.pencil, rep.d)
+    for alpha, c in rep.f.terms.items():
+        m = diff.setdefault(alpha, [[field.zero] * t for _ in range(t)])
+        for i in range(t):
+            m[i][i] = field.sub(m[i][i], c)
+    for i in range(t):
+        for j in range(t):
+            terms = {alpha: c[i][j] for alpha, c in diff.items() if c[i][j]}
+            if terms:
+                return RelationCertificate(False, t, rep.d,
+                                           witness=((i, j), Poly(rep.ring, terms)))
     if rep.size % rep.d != 0:
         raise InternalInconsistency(
             f"relation holds but d={rep.d} does not divide t={rep.size}; "
@@ -191,7 +198,8 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
     """Linear system for theta with theta*A1_i = A2_i*theta for all i.
 
     Returns (rows, unknowns) where unknowns index (row, col, base monomial)
-    of theta and rows are scalar equation rows over the field.
+    of theta and rows are scalar equation rows over the field: with theta =
+    sum_mu t^mu * T_mu, one row per monomial and entry of theta*M1 - M2*theta.
     """
     ring = rep1.ring
     field = ring.field
@@ -201,48 +209,44 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
     monos = _base_monomials(ring, max_base_degree)
     unknowns = [(u, v, mu) for u in range(t2) for v in range(t1) for mu in monos]
     ucount = len(unknowns)
-    uindex = {key: k for k, key in enumerate(unknowns)}
-    rows = []
-    for i in range(ring.fiber_count):
-        a1 = rep1.pencil.matrices[i]
-        a2 = rep2.pencil.matrices[i]
-        for a in range(t2):
-            for b in range(t1):
-                # entry (a, b) of theta*A1_i - A2_i*theta, linear in theta
-                contribs: dict[int, Poly] = {}
-                for mu in monos:
-                    mono = Poly(ring, {mu: field.one})
-                    for v in range(t1):
-                        if not a1[v][b].is_zero():
-                            k = uindex[(a, v, mu)]
-                            p = mono * a1[v][b]
-                            contribs[k] = contribs.get(k, ring.zero()) + p
-                    for u in range(t2):
-                        if not a2[a][u].is_zero():
-                            k = uindex[(u, b, mu)]
-                            p = mono * a2[a][u]
-                            contribs[k] = contribs.get(k, ring.zero()) - p
-                seen: set = set()
-                for p in contribs.values():
-                    seen.update(p.terms)
-                for exp in sorted(seen):
-                    row = [field.zero] * ucount
-                    for k, p in contribs.items():
-                        c = p.terms.get(exp)
-                        if c:
-                            row[k] = c
-                    rows.append(row)
-    return rows, unknowns
+    nm = len(monos)
+    rows: dict = {}
+
+    def add(key, k, c):
+        if key not in rows:
+            rows[key] = [field.zero] * ucount
+        rows[key][k] = field.add(rows[key][k], c)
+
+    # (T_mu C1_alpha)[a][y] gains C1_alpha[x][y] * T_mu[a][x]
+    for alpha, c1 in coefficients(rep1.pencil).items():
+        for x, line in enumerate(c1):
+            for y, c in enumerate(line):
+                if c:
+                    for m, mu in enumerate(monos):
+                        exp = tuple(e + f for e, f in zip(alpha, mu))
+                        for a in range(t2):
+                            add((exp, a, y), (a * t1 + x) * nm + m, c)
+    # (C2_alpha T_mu)[x][b] gains C2_alpha[x][y] * T_mu[y][b]
+    for alpha, c2 in coefficients(rep2.pencil).items():
+        for x, line in enumerate(c2):
+            for y, c in enumerate(line):
+                if c:
+                    minus = field.neg(c)
+                    for m, mu in enumerate(monos):
+                        exp = tuple(e + f for e, f in zip(alpha, mu))
+                        for b in range(t1):
+                            add((exp, x, b), (y * t1 + b) * nm + m, minus)
+    return list(rows.values()), unknowns
 
 
 def _vector_to_theta(ring: PolyRing, unknowns, vec) -> PolyMatrix:
     t2 = 1 + max(u for u, _, _ in unknowns)
     t1 = 1 + max(v for _, v, _ in unknowns)
-    theta = [[ring.zero() for _ in range(t1)] for _ in range(t2)]
+    terms = [[{} for _ in range(t1)] for _ in range(t2)]
     for (u, v, mu), c in zip(unknowns, vec):
         if c:
-            theta[u][v] = theta[u][v] + Poly(ring, {mu: c})
-    return theta
+            terms[u][v][mu] = c
+    return [[Poly(ring, entry) for entry in row] for row in terms]
 
 
 def intertwiner_basis(rep1: CliffordRep, rep2: CliffordRep,
@@ -291,7 +295,11 @@ class EquivalenceResult:
 
 def _is_unit_matrix(theta: PolyMatrix) -> bool:
     """det(theta) is a unit: a nonzero constant of the coefficient field."""
-    d = poly_matrix_det(theta)
+    if all(x.is_constant() for row in theta for x in row):
+        field = theta[0][0].ring.field
+        values = [[x.constant() for x in row] for row in theta]
+        return linalg.rank_field_matrix(field, values) == len(theta)
+    d = poly_matrix_det(theta)  # only entries in the base variables need it
     return (not d.is_zero()) and d.is_constant()
 
 
@@ -307,16 +315,9 @@ def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int,
     ring = basis[0][0][0].ring
 
     def combine(coeffs):
-        rows, cols = mat_shape(basis[0])
-        out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-        for c, mat in zip(coeffs, basis):
-            if not c:
-                continue
-            for i in range(rows):
-                for j in range(cols):
-                    if not mat[i][j].is_zero():
-                        out[i][j] = out[i][j] + mat[i][j].scale(c)
-        return out
+        # zip(*basis) walks the rows, zip(*rows) one entry across the basis
+        return [[sum((x.scale(c) for c, x in zip(coeffs, entries) if c), ring.zero())
+                 for entries in zip(*rows)] for rows in zip(*basis)]
 
     if dim == 1:
         theta = basis[0]

@@ -13,12 +13,11 @@ from . import linalg
 from .clifford import (CliffordRep, _require_relation, equivalence_test,
                        verify_relation)
 from .errors import (GammaConstructionError, InputError, InternalInconsistency,
-                     NondiagonalInput, NotHomogeneous, RotationMismatch)
+                     NondiagonalInput, RotationMismatch)
 from .fields import Field
 from .pencil import LinearPencil, MFPair, extract
 from .poly import Poly, PolyRing
-from .polymat import (PolyMatrix, mat_eq, mat_mul, mat_shape, scalar_matrix,
-                      zero_matrix)
+from .polymat import PolyMatrix, mat_shape, zero_matrix
 
 
 # -- degree one ----------------------------------------------------------------
@@ -27,10 +26,7 @@ from .polymat import (PolyMatrix, mat_eq, mat_mul, mat_shape, scalar_matrix,
 def hyperplane_rep(f: Poly) -> CliffordRep:
     """The 1x1 representation of a linear form: A_i = [coefficient of y_i]."""
     f.require_y_homogeneous(1, "hyperplane form")
-    ring = f.ring
-    mats = [[[f.coefficient_of_fiber_var(i)]] for i in range(ring.fiber_count)]
-    return _require_relation(
-        CliffordRep(LinearPencil(ring, mats), f, 1), "hyperplane_rep")
+    return _require_relation(CliffordRep(extract([[f]]), f, 1), "hyperplane_rep")
 
 
 # -- split binary forms ----------------------------------------------------------
@@ -318,8 +314,9 @@ def block_from_mf(pair: MFPair) -> CliffordRep:
 def cyclic_block_rep(factors: list[PolyMatrix], f: Poly) -> CliffordRep:
     """Block-cyclic pencil from a d-fold factorization of f.
 
-    Requires every cyclic rotation M_k M_{k+1} ... M_{k-1} to equal f*I; the
-    block power then reproduces exactly those rotations on its diagonal.
+    Requires every cyclic rotation M_k M_{k+1} ... M_{k-1} to equal f*I.  The
+    block power is block diagonal with rotation k in block k, so the relation
+    check finds the first failing rotation.
     """
     d = len(factors)
     if d < 1:
@@ -329,13 +326,6 @@ def cyclic_block_rep(factors: list[PolyMatrix], f: Poly) -> CliffordRep:
         if mat_shape(m) != (size, size):
             raise InputError(f"factor {k} is not {size}x{size}")
     f.require_y_homogeneous(d, "cyclic factorization form")
-    target = scalar_matrix(f, size)
-    for k in range(d):
-        product = factors[k]
-        for step in range(1, d):
-            product = mat_mul(product, factors[(k + step) % d])
-        if not mat_eq(product, target):
-            raise RotationMismatch(k)
     ring = f.ring
     block = zero_matrix(ring, d * size)
     for i in range(d):
@@ -345,7 +335,10 @@ def cyclic_block_rep(factors: list[PolyMatrix], f: Poly) -> CliffordRep:
             for b in range(size):
                 block[i * size + a][col * size + b] = m[a][b]
     rep = CliffordRep(extract(block), f, d)
-    return _require_relation(rep, "cyclic_block_rep")
+    relation = verify_relation(rep)
+    if not relation.passed:
+        raise RotationMismatch(relation.witness[0][0] // size)
+    return rep
 
 
 # -- brute-force search --------------------------------------------------------------

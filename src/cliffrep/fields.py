@@ -153,11 +153,6 @@ class Field:
             raise FieldError(f"{a} is not a square mod {self.p}")
         return _tonelli_shanks(a, self.p)
 
-    # -- rendering ------------------------------------------------------------
-
-    def scalar_str(self, a) -> str:
-        return str(a)
-
 
 def _isqrt(n: int) -> int:
     import math

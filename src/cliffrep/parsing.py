@@ -158,8 +158,3 @@ class _Parser:
 def parse_poly(text: str, ring: PolyRing) -> Poly:
     """Parse polynomial text into a canonical Poly of the given ring."""
     return _Parser(_tokenize(text), ring).parse()
-
-
-def poly_str(poly: Poly) -> str:
-    """Canonical string form (same as ``str(poly)``)."""
-    return str(poly)

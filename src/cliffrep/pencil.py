@@ -4,15 +4,22 @@ The coefficient matrices A_i live over the base subring (polynomials in the
 t-variables only; constants when there is no base).  A pencil and its
 assembled matrix are interchangeable through ``assemble`` / ``extract``,
 which are exact mutual inverses.
+
+The kernels read a pencil through one scalar view, ``coefficients``: M(y) is
+sum_alpha y^alpha * C_alpha with one t x t matrix of field scalars per
+monomial y_i * t^nu that occurs.  Products of pencils are then products of
+coefficient matrices with exponents added, and no Poly arithmetic is done
+on the entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, MatrixFactorizationError, NonLinearEntry, ShapeMismatch
-from .poly import Poly, PolyRing
-from .polymat import (PolyMatrix, mat_mul, mat_power, mat_shape, mat_sub,
-                      scalar_matrix, zero_matrix)
+from . import linalg
+from .errors import (ExponentOverflow, InputError, MatrixFactorizationError,
+                     NonLinearEntry, ShapeMismatch)
+from .poly import EXP_CAP, Poly, PolyRing
+from .polymat import PolyMatrix, mat_mul, mat_shape, mat_sub, scalar_matrix
 
 
 class LinearPencil:
@@ -52,22 +59,10 @@ class LinearPencil:
     def __repr__(self):
         return f"LinearPencil(size={self.size}, over {self.ring!r})"
 
-    def matrix_list(self) -> list[PolyMatrix]:
-        return [[list(row) for row in m] for m in self.matrices]
-
 
 def assemble(pencil: LinearPencil) -> PolyMatrix:
     """M(y) = sum_i y_i * A_i; every entry fiber-linear (or zero)."""
-    ring = pencil.ring
-    out = zero_matrix(ring, pencil.size)
-    for i, mat in enumerate(pencil.matrices):
-        y = ring.var(ring.names[i])
-        for a in range(pencil.size):
-            for b in range(pencil.size):
-                entry = mat[a][b]
-                if not entry.is_zero():
-                    out[a][b] = out[a][b] + y * entry
-    return out
+    return _poly_matrix(pencil, coefficients(pencil))
 
 
 def extract(matrix: PolyMatrix) -> LinearPencil:
@@ -80,24 +75,80 @@ def extract(matrix: PolyMatrix) -> LinearPencil:
     if rows != cols:
         raise ShapeMismatch(f"pencil matrix must be square, got {rows}x{cols}")
     ring = matrix[0][0].ring
-    nf = ring.fiber_count
-    for i in range(rows):
-        for j in range(cols):
-            entry = matrix[i][j]
-            if not entry.is_zero() and not entry.is_y_homogeneous(1):
+    terms = [[[{} for _ in range(cols)] for _ in range(rows)]
+             for _ in range(ring.fiber_count)]
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if not entry.is_y_homogeneous(1):
                 raise NonLinearEntry(i, j)
-    mats = []
-    for k in range(nf):
-        mats.append([[matrix[i][j].coefficient_of_fiber_var(k)
-                      for j in range(cols)] for i in range(rows)])
-    return LinearPencil(ring, mats)
+            for exp, c in entry.terms.items():
+                k = exp.index(1)  # the one fiber variable of the term
+                terms[k][i][j][exp[:k] + (0,) + exp[k + 1:]] = c
+    return LinearPencil(ring, [[[Poly(ring, e) for e in row] for row in m]
+                               for m in terms])
+
+
+def coefficients(pencil: LinearPencil) -> dict[tuple, list]:
+    """M(y) as {alpha: C_alpha}, M(y) = sum_alpha y^alpha * C_alpha.
+
+    alpha is an exponent tuple of the ring (y_i times a base monomial) that
+    occurs in M; C_alpha is a t x t matrix of field scalars.
+    """
+    zero = pencil.ring.field.zero
+    t = pencil.size
+    out: dict = {}
+    for i, mat in enumerate(pencil.matrices):
+        for a, row in enumerate(mat):
+            for b, entry in enumerate(row):
+                for exp, c in entry.terms.items():
+                    # entries carry no fiber variable, so exp[i] == 0
+                    key = exp[:i] + (1,) + exp[i + 1:]
+                    if key not in out:
+                        out[key] = [[zero] * t for _ in range(t)]
+                    out[key][a][b] = c
+    return out
+
+
+def power_coefficients(pencil: LinearPencil, d: int) -> dict[tuple, list]:
+    """The coefficients of M(y)^d, multiplied left to right; zero ones dropped.
+
+    Raises ExponentOverflow when a product reaches an exponent of EXP_CAP.
+    """
+    if d < 1:
+        raise InputError("power must be >= 1")
+    field = pencil.ring.field
+    base = coefficients(pencil)
+    power = base
+    for _ in range(d - 1):
+        out: dict = {}
+        for alpha, x in power.items():
+            for beta, y in base.items():
+                key = tuple(a + b for a, b in zip(alpha, beta))
+                if any(e >= EXP_CAP for e in key):
+                    raise ExponentOverflow(f"exponent exceeds {EXP_CAP - 1} in product")
+                prod = linalg.mat_mul(field, x, y)
+                acc = out.get(key)
+                out[key] = prod if acc is None else [
+                    [field.add(u, v) for u, v in zip(r, s)] for r, s in zip(acc, prod)]
+        power = {k: m for k, m in out.items() if any(any(row) for row in m)}
+    return power
 
 
 def pencil_power(pencil: LinearPencil, d: int) -> PolyMatrix:
     """The exact symbolic power M(y)^d (left-to-right multiplication)."""
-    if d < 1:
-        raise InputError("power must be >= 1")
-    return mat_power(assemble(pencil), d)
+    return _poly_matrix(pencil, power_coefficients(pencil, d))
+
+
+def _poly_matrix(pencil: LinearPencil, coeffs: dict) -> PolyMatrix:
+    """The Poly matrix sum_alpha y^alpha * C_alpha."""
+    t = pencil.size
+    terms = [[{} for _ in range(t)] for _ in range(t)]
+    for alpha, c in coeffs.items():
+        for i, row in enumerate(c):
+            for j, x in enumerate(row):
+                if x:
+                    terms[i][j][alpha] = x
+    return [[Poly(pencil.ring, entry) for entry in row] for row in terms]
 
 
 def specialize(pencil: LinearPencil, point: dict) -> LinearPencil:

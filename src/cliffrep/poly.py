@@ -89,9 +89,6 @@ class PolyRing:
             return Poly(self, {})
         return Poly(self, {exp: c})
 
-    def fiber_part(self, exp: tuple) -> tuple:
-        return exp[:self.fiber_count]
-
     def without_base(self) -> "PolyRing":
         """The ring with the base variables dropped (m = 0)."""
         return PolyRing(self.field, 0, self.fiber_count)
@@ -143,9 +140,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def y_degree(self) -> int:
         """Maximal total degree in the fiber variables."""
@@ -290,18 +284,6 @@ class Poly:
             new = list(exp)
             new[i] = e - 1
             out[tuple(new)] = coeff
-        return Poly(ring, out)
-
-    def coefficient_of_fiber_var(self, i: int) -> "Poly":
-        """The coefficient of y_i in a fiber-linear polynomial."""
-        ring = self.ring
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[i] != 1:
-                continue
-            rest = list(exp)
-            rest[i] = 0
-            out[tuple(rest)] = c
         return Poly(ring, out)
 
     # -- division / ordering ---------------------------------------------------

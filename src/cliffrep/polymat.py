@@ -40,12 +40,6 @@ def scalar_matrix(f: Poly, size: int) -> PolyMatrix:
     return out
 
 
-def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if mat_shape(a) != mat_shape(b):
-        raise ShapeMismatch(f"{mat_shape(a)} vs {mat_shape(b)}")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if mat_shape(a) != mat_shape(b):
         raise ShapeMismatch(f"{mat_shape(a)} vs {mat_shape(b)}")
@@ -70,25 +64,9 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def mat_scale(a: PolyMatrix, f: Poly) -> PolyMatrix:
-    return [[x * f for x in row] for row in a]
-
-
 def mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_power(a: PolyMatrix, d: int) -> PolyMatrix:
-    n, m = mat_shape(a)
-    if n != m:
-        raise ShapeMismatch("matrix power needs a square matrix")
-    if d < 1:
-        raise ValueError("exponent must be >= 1")
-    out = a
-    for _ in range(d - 1):
-        out = mat_mul(out, a)
-    return out
 
 
 def mat_evaluate(a: PolyMatrix, assignment: dict) -> PolyMatrix:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
+from operator import mul
 
 from . import linalg
 from .clifford import CliffordRep, det_factorization, verify_relation, specialize_rep
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
 from .fields import prime_field
-from .pencil import LinearPencil, assemble, mf_verify
+from .pencil import LinearPencil, assemble, coefficients, extract, mf_verify
 from .poly import Poly, PolyRing, monomials
 from .polymat import (PolyMatrix, adjugate, mat_evaluate, mat_shape,
                       poly_matrix_det)
@@ -73,11 +74,10 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
     ring = matrix[0][0].ring
     if ring.base_count:
         raise UnsupportedBase("Hilbert functions need a plain coefficient field")
-    for i in range(rows):
-        for j in range(cols):
-            entry = matrix[i][j]
-            if not entry.is_zero() and not entry.is_y_homogeneous(1):
-                raise InputError(f"entry ({i},{j}) is not linear")
+    # the nonzero entries x = C_alpha[a][b], with alpha the exponent of y_var
+    entries = [(alpha.index(1), a, b, x)
+               for alpha, c in coefficients(extract(matrix)).items()
+               for a, line in enumerate(c) for b, x in enumerate(line) if x]
     if not _det_is_nonzero(matrix):
         raise InputError("det(M) = 0: the resolution is not exact and the "
                          "cokernel is not of the expected shape")
@@ -95,19 +95,12 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
         sys_rows = len(target) * t
         sys_cols = len(source) * t
         system = [[field.zero] * sys_cols for _ in range(sys_rows)]
-        for b in range(t):
-            for a in range(t):
-                entry = matrix[a][b]
-                if entry.is_zero():
-                    continue
-                for exp, c in entry.terms.items():
-                    var = exp.index(1)
-                    for s, mono in enumerate(source):
-                        shifted = list(mono)
-                        shifted[var] += 1
-                        row = a * len(target) + target_index[tuple(shifted)]
-                        col = b * len(source) + s
-                        system[row][col] = field.add(system[row][col], c)
+        for var, a, b, x in entries:
+            for s, mono in enumerate(source):
+                shifted = list(mono)
+                shifted[var] += 1
+                row = a * len(target) + target_index[tuple(shifted)]
+                system[row][b * len(source) + s] = x
         rank = linalg.rank_field_matrix(field, system)
         values.append(t * comb(nvars - 1 + e, nvars - 1) - rank)
     return GradedCokernel(matrix, values)
@@ -208,14 +201,16 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
     names = ring.names[:ring.fiber_count]
     r = rep.clifford_index
     t = rep.size
-    matrix = assemble(rep.pencil)
+    # entry (i, j) of every A_k side by side, so M(point) = sum_k point_k A_k
+    stacks = [list(zip(*rows)) for rows in zip(*rep.scalar_matrices())]
     gradient = [rep.f.derivative(name) for name in names]
     rng = random.Random(seed)
     summary = CorankSummary(prime=p, seed=seed, expected_corank=r)
 
     def corank_at(point: dict) -> int:
-        scalar = [[matrix[i][j].evaluate(point).constant() for j in range(t)]
-                  for i in range(t)]
+        values = [point[name] for name in names]
+        scalar = [[sum(map(mul, values, entry)) % p for entry in row]
+                  for row in stacks]
         return t - linalg.rank(field, scalar)
 
     tries = 0

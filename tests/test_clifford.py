@@ -6,8 +6,9 @@ import pytest
 
 import cliffrep as cr
 from cliffrep import linalg
-from cliffrep.errors import (DivisionFails, InputError, InternalInconsistency,
-                             NotHomogeneous, UnsupportedBase)
+from cliffrep.errors import (DivisionFails, ExponentOverflow, InputError,
+                             InternalInconsistency, NotHomogeneous,
+                             UnsupportedBase)
 from conftest import (block_quadric_rep, clock_rep, paper_f, paper_phi,
                       quadric_ring, random_invertible)
 
@@ -49,6 +50,14 @@ def test_verify_rejects_inhomogeneous_f(qq):
     pencil = cr.extract([[ring.var("y0")]])
     rep = cr.CliffordRep(pencil, cr.parse_poly("y0 + y1^2", ring), 2)
     with pytest.raises(NotHomogeneous):
+        cr.verify_relation(rep)
+
+
+def test_verify_exponent_overflow(qq):
+    ring = cr.PolyRing(qq, 1, 1)
+    pencil = cr.extract([[cr.parse_poly("t1^40000*y0", ring)]])
+    rep = cr.CliffordRep(pencil, cr.parse_poly("y0^2", ring), 2)
+    with pytest.raises(ExponentOverflow):
         cr.verify_relation(rep)
 
 
@@ -378,3 +387,19 @@ def test_equivalence_with_base_parameters(qq):
     other = cr.conjugate(rep, theta)
     result = cr.equivalence_test(rep, other, max_base_degree=1)
     assert result.verdict == "equivalent"
+
+
+def test_base_intertwiners_intertwine(qq):
+    ring = cr.PolyRing(qq, 1, 2)
+    matrix = [[ring.zero(), cr.parse_poly("y0 - t1*y1", ring)],
+              [cr.parse_poly("y0 + t1*y1", ring), ring.zero()]]
+    f = cr.parse_poly("y0^2 - t1^2*y1^2", ring)
+    rep = cr.CliffordRep(cr.extract(matrix), f, 2)
+    other = cr.conjugate(rep, [[qq.of(1), qq.of(2)], [qq.of(0), qq.of(1)]])
+    for rep1, rep2 in ((rep, rep), (rep, other), (other, rep)):
+        basis = cr.intertwiner_basis(rep1, rep2, max_base_degree=1)
+        assert basis
+        for theta in basis:
+            for a1, a2 in zip(rep1.pencil.matrices, rep2.pencil.matrices):
+                assert cr.mat_eq(cr.mat_mul(theta, [list(r) for r in a1]),
+                                 cr.mat_mul([list(r) for r in a2], theta))

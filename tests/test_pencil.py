@@ -101,6 +101,26 @@ def test_pencil_power_one_is_assemble(qq):
     assert cr.mat_eq(cr.pencil_power(pencil, 1), cr.assemble(pencil))
 
 
+def test_pencil_power_matches_poly_product(qq, gf7):
+    # the coefficient-matrix power against the left-to-right Poly product
+    rng = random.Random(41)
+    pencils = []
+    for field in (qq, gf7):
+        ring = cr.PolyRing(field, 0, 3)
+        pencils += [cr.extract(random_linear_matrix(ring, rng.randint(1, 3), rng))
+                    for _ in range(8)]
+    ring = cr.PolyRing(qq, 1, 2)
+    pencils.append(cr.extract(
+        [[cr.parse_poly("t1*y0 + y1", ring), cr.parse_poly("y0 - t1^2*y1", ring)],
+         [cr.parse_poly("2*y1", ring), cr.parse_poly("t1*y0 - 3*t1*y1", ring)]]))
+    for pencil in pencils:
+        matrix = cr.assemble(pencil)
+        product = matrix
+        for d in (1, 2, 3):
+            assert cr.mat_eq(cr.pencil_power(pencil, d), product)
+            product = cr.mat_mul(product, matrix)
+
+
 def test_power_entries_y_homogeneous(gf7):
     ring = cr.PolyRing(gf7, 0, 3)
     rng = random.Random(77)

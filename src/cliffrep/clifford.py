@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (DivisionFails, InputError, InternalInconsistency,
                      UnsupportedBase)
-from .pencil import (LinearPencil, assemble, coefficients, power_coefficients,
-                     specialize)
+from .pencil import (LinearPencil, assemble, coefficients, extract,
+                     from_coefficients, power_coefficients, specialize)
 from .poly import Poly, PolyRing, monomials
-from .polymat import PolyMatrix, block_diagonal, mat_mul, poly_matrix_det
+from .polymat import PolyMatrix, block_diagonal, poly_matrix_det
 
 
 class CliffordRep:
@@ -167,12 +167,10 @@ def conjugate(rep: CliffordRep, theta: list) -> CliffordRep:
     theta_inv = linalg.inv(field, theta)
     if theta_inv is None:
         raise InputError("conjugating matrix is singular")
-    ring = rep.ring
-    th = [[ring.const(x) for x in row] for row in theta]
-    th_inv = [[ring.const(x) for x in row] for row in theta_inv]
-    mats = [mat_mul(mat_mul(th, [list(row) for row in m]), th_inv)
-            for m in rep.pencil.matrices]
-    out = CliffordRep(LinearPencil(ring, mats), rep.f, rep.d, rep.notes)
+    coeffs = {alpha: linalg.mat_mul(field, linalg.mat_mul(field, theta, c), theta_inv)
+              for alpha, c in coefficients(rep.pencil).items()}
+    pencil = extract(from_coefficients(rep.pencil, coeffs))
+    out = CliffordRep(pencil, rep.f, rep.d, rep.notes)
     return _require_relation(out, "conjugate") if rep.verified else out
 
 

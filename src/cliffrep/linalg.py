@@ -29,7 +29,7 @@ def rref(field: Field, mat: list) -> tuple[list, list[int]]:
     cols = len(mat[0]) if rows else 0
     if _use_numpy(field, rows, cols):
         arr, pivots = _rref_modp(np.array(mat, dtype=np.int64), field.p)
-        return [[int(x) for x in row] for row in arr], pivots
+        return arr.tolist(), pivots
     a = [row[:] for row in mat]
     pivots = []
     r = 0
@@ -81,6 +81,8 @@ def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(field: Field, mat: list) -> int:
+    if _use_numpy(field, len(mat), len(mat[0]) if mat else 0):
+        return len(_rref_modp(np.array(mat, dtype=np.int64), field.p)[1])
     return len(rref(field, mat)[1])
 
 

@@ -62,7 +62,7 @@ class LinearPencil:
 
 def assemble(pencil: LinearPencil) -> PolyMatrix:
     """M(y) = sum_i y_i * A_i; every entry fiber-linear (or zero)."""
-    return _poly_matrix(pencil, coefficients(pencil))
+    return from_coefficients(pencil, coefficients(pencil))
 
 
 def extract(matrix: PolyMatrix) -> LinearPencil:
@@ -136,11 +136,11 @@ def power_coefficients(pencil: LinearPencil, d: int) -> dict[tuple, list]:
 
 def pencil_power(pencil: LinearPencil, d: int) -> PolyMatrix:
     """The exact symbolic power M(y)^d (left-to-right multiplication)."""
-    return _poly_matrix(pencil, power_coefficients(pencil, d))
+    return from_coefficients(pencil, power_coefficients(pencil, d))
 
 
-def _poly_matrix(pencil: LinearPencil, coeffs: dict) -> PolyMatrix:
-    """The Poly matrix sum_alpha y^alpha * C_alpha."""
+def from_coefficients(pencil: LinearPencil, coeffs: dict) -> PolyMatrix:
+    """The Poly matrix sum_alpha y^alpha * C_alpha over the pencil's ring."""
     t = pencil.size
     terms = [[{} for _ in range(t)] for _ in range(t)]
     for alpha, c in coeffs.items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (ExponentOverflow, NotHomogeneous, RingMismatch,
+from .errors import (ExponentOverflow, InputError, NotHomogeneous, RingMismatch,
                      UnknownVariable)
 from .fields import Field
 
@@ -25,9 +25,9 @@ class PolyRing:
 
     def __init__(self, field: Field, base_count: int, fiber_count: int):
         if fiber_count < 1:
-            raise ValueError("need at least one fiber variable")
+            raise InputError("need at least one fiber variable")
         if base_count < 0:
-            raise ValueError("base variable count must be >= 0")
+            raise InputError("base variable count must be >= 0")
         self.field = field
         self.base_count = base_count
         self.fiber_count = fiber_count

@@ -20,8 +20,8 @@ from .clifford import CliffordRep, det_factorization, verify_relation, specializ
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
 from .fields import prime_field
-from .pencil import LinearPencil, assemble, coefficients, extract, mf_verify
-from .poly import Poly, PolyRing, monomials
+from .pencil import LinearPencil, assemble, extract, mf_verify
+from .poly import Poly, PolyRing
 from .polymat import (PolyMatrix, adjugate, mat_evaluate, mat_shape,
                       poly_matrix_det)
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, Report
@@ -64,9 +64,10 @@ def _det_is_nonzero(matrix: PolyMatrix) -> bool:
 def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
     """Exact Hilbert function of coker(M) in degrees 0..max_degree.
 
-    HF(e) = t*C(n+e, n) - rank(M_e) where M_e multiplies degree-(e-1)
-    column vectors into degree e.  Requires det(M) != 0, which makes the
-    presentation injective and the resolution exact.
+    M is a square matrix of linear forms over the domain S = k[y0..yn] with
+    det(M) != 0, so M is injective and 0 -> S(-1)^t -> S^t -> coker(M) -> 0
+    is exact: HF(coker, e) is the difference of the two free modules'
+    Hilbert functions, which ``expected_hilbert`` gives.
     """
     rows, cols = mat_shape(matrix)
     if rows != cols:
@@ -74,41 +75,22 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
     ring = matrix[0][0].ring
     if ring.base_count:
         raise UnsupportedBase("Hilbert functions need a plain coefficient field")
-    # the nonzero entries x = C_alpha[a][b], with alpha the exponent of y_var
-    entries = [(alpha.index(1), a, b, x)
-               for alpha, c in coefficients(extract(matrix)).items()
-               for a, line in enumerate(c) for b, x in enumerate(line) if x]
+    extract(matrix)  # every entry linear in the fiber variables
     if not _det_is_nonzero(matrix):
         raise InputError("det(M) = 0: the resolution is not exact and the "
                          "cokernel is not of the expected shape")
-    field = ring.field
-    t = rows
-    nvars = ring.fiber_count
-    values = []
-    for e in range(max_degree + 1):
-        source = monomials(nvars, e - 1)
-        target = monomials(nvars, e)
-        if not source:
-            values.append(t * comb(nvars - 1 + e, nvars - 1))
-            continue
-        target_index = {mono: k for k, mono in enumerate(target)}
-        sys_rows = len(target) * t
-        sys_cols = len(source) * t
-        system = [[field.zero] * sys_cols for _ in range(sys_rows)]
-        for var, a, b, x in entries:
-            for s, mono in enumerate(source):
-                shifted = list(mono)
-                shifted[var] += 1
-                row = a * len(target) + target_index[tuple(shifted)]
-                system[row][b * len(source) + s] = x
-        rank = linalg.rank_field_matrix(field, system)
-        values.append(t * comb(nvars - 1 + e, nvars - 1) - rank)
-    return GradedCokernel(matrix, values)
+    return GradedCokernel(matrix, expected_hilbert(rows, ring.fiber_count - 1,
+                                                   max_degree))
 
 
 def expected_hilbert(t: int, n: int, max_degree: int = 6) -> list[int]:
-    """t * C(e+n-1, n-1) for e = 0..max_degree; entry 0 is t = d*r."""
-    return [t * comb(e + n - 1, n - 1) for e in range(max_degree + 1)]
+    """t*C(n+e, n) - t*C(n+e-1, n) for e = 0..max_degree; entry 0 is t = d*r.
+
+    These are the ranks in degree e of S^t and S(-1)^t over S = k[y0..yn];
+    for n >= 1 the difference is t*C(e+n-1, n-1).
+    """
+    return [t * comb(n + e, n) - (t * comb(n + e - 1, n) if e else 0)
+            for e in range(max_degree + 1)]
 
 
 # -- sampling --------------------------------------------------------------------
@@ -349,12 +331,12 @@ def _mf_only_probe(rep: CliffordRep) -> bool:
     """
     if rep.d != 2 or rep.size != 2:
         return False
-    matrix = assemble(rep.pencil)
-    det = poly_matrix_det(matrix)
-    quotient = det.exact_div(rep.f)
-    if quotient is None or quotient.is_zero() or not quotient.is_constant():
+    try:
+        unit = det_factorization(rep, force=True).unit
+    except DivisionFails:
         return False
-    inv_c = rep.ring.field.inv(quotient.constant())
+    matrix = assemble(rep.pencil)
+    inv_c = rep.ring.field.inv(unit)
     partner = [[entry.scale(inv_c) for entry in row] for row in adjugate(matrix)]
     return mf_verify(matrix, partner, rep.f).passed
 

@@ -177,6 +177,17 @@ def test_cli_specialize(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_bad_variable_counts(tmp_path, capsys):
+    assert cli_dispatch(["search", "--field", "GF(3)", "--fiber-vars", "0",
+                         "--f", "y0^2", "--d", "2", "--t", "2"]) == 3
+    assert cli_dispatch(["construct", "hyperplane", "--f", "y0 + y1",
+                         "--base-vars", "-1"]) == 3
+    doc = tmp_path / "empty.pencil"
+    doc.write_text(json.dumps({"field": "QQ", "fiber_vars": 0, "matrices": []}))
+    assert cli_dispatch(["verify", str(doc)]) == 3
+    assert capsys.readouterr().err.count("error:") == 3
+
+
 def test_cli_search(tmp_path, capsys):
     out_dir = tmp_path / "hits"
     code = cli_dispatch(["search", "--field", "GF(3)", "--fiber-vars", "2",

@@ -60,12 +60,18 @@ def test_hilbert_over_prime_field(gf7):
     assert result.hilbert == [3] * 7
 
 
-def test_expected_hilbert_values():
+def test_expected_hilbert_values(qq):
     assert cr.expected_hilbert(2, 3, 3) == [2, 6, 12, 20]
     assert cr.expected_hilbert(1, 1, 2) == [1, 1, 1]
     for t in (1, 2, 5):
         for n in (1, 2, 3):
             assert cr.expected_hilbert(t, n, 0)[0] == t
+    # one fiber variable: P^0, where coker(y0*I) is t copies of k
+    assert cr.expected_hilbert(2, 0, 3) == [2, 0, 0, 0]
+    ring = cr.PolyRing(qq, 0, 1)
+    y0 = ring.var("y0")
+    result = cr.hilbert_function([[y0, ring.zero()], [ring.zero(), y0]], 3)
+    assert result.hilbert == [2, 0, 0, 0]
 
 
 # -- corank sampling ------------------------------------------------------------
@@ -184,6 +190,19 @@ def test_certificate_nonreduced_clock(qq):
     assert statuses["smoothness-sampling"] == "fail"
     assert any("repeated roots" in str(r.witness) for r in cert.report.records
                if r.name == "note")
+
+
+def test_certificate_one_fiber_variable(qq):
+    # V(3*y0) has no point in P^0, so corank sampling finds no witness;
+    # a small sampling prime keeps the fruitless scan short
+    rep = cr.hyperplane_rep(cr.parse_poly("3*y0", cr.PolyRing(qq, 0, 1)))
+    cert = cr.ulrich_certificate(rep, cr.CertificateConfig(sample_prime=2))
+    assert cert.report.verdict == "fail"
+    records = {r.name: r for r in cert.report.records}
+    assert records["hilbert-function"].status == "pass"
+    assert records["global-sections"].status == "pass"
+    assert records["corank-sampling"].status == "fail"
+    assert "no points on the hypersurface" in records["corank-sampling"].witness["error"]
 
 
 def test_certificate_base_parametrized(qq):

@@ -16,7 +16,8 @@ from . import linalg
 from .errors import (DivisionFails, InputError, InternalInconsistency,
                      UnsupportedBase)
 from .pencil import (LinearPencil, assemble, coefficients, extract,
-                     from_coefficients, power_coefficients, specialize)
+                     from_coefficients, pencil_at, power_coefficients,
+                     specialize)
 from .poly import Poly, PolyRing, monomials
 from .polymat import PolyMatrix, block_diagonal, poly_matrix_det
 
@@ -139,17 +140,61 @@ class DetFactorization:
         return f"det M(y) = {self.unit} * f^{self.exponent}"
 
 
+# Any points give an exact answer; a constant seed keeps the work the same
+# on every run, whatever seed the caller passes.
+_PROBE_SEED = 0
+_PROBES = 4
+
+
+def probe_points(ring: PolyRing):
+    """The seeded points, one scalar per variable of the ring, that probe
+    determinants; the same few points on every call."""
+    field = ring.field
+    rng = random.Random(_PROBE_SEED)
+    for _ in range(_PROBES):
+        yield {name: rng.randrange(field.p) if field.kind == "GF"
+               else rng.randint(-9, 9) for name in ring.names}
+
+
+def _unit_from_relation(rep: CliffordRep, r: int):
+    """The unit of a verified rep from det M(q) at one probe point q with
+    f(q) != 0, or None when f vanishes at every probe point."""
+    field = rep.ring.field
+    for point in probe_points(rep.ring):
+        value = rep.f.evaluate(point).constant()
+        if value:
+            unit = field.div(linalg.det(field, pencil_at(rep.pencil, point)),
+                             field.pow(value, r))
+            if field.pow(unit, rep.d) != field.one:
+                raise InternalInconsistency(
+                    f"det M(q) / f(q)^{r} = {unit} is no {rep.d}-th root of "
+                    "unity although M^d = f*I holds")
+            return unit
+    return None
+
+
 def det_factorization(rep: CliffordRep, force: bool = False) -> DetFactorization:
     """Factor det M(y) as c * f^(t/d) with c a nonzero field constant.
 
-    Raises DivisionFails when the determinant is not such a multiple; that
-    signals a non-representation or a degenerate form.
+    On a verified rep the relation proves the shape.  M^d = f*I gives
+    det(M)^d = f^t, so det M / f^(t/d) is a d-th root of unity in k(t, y);
+    k is algebraically closed in that purely transcendental extension, so
+    it is a constant c of k.  Then det M(q) = c * f(q)^(t/d) at every point
+    q, and one seeded point with f(q) != 0 reads c off exactly.  Only when f
+    vanishes at every probe point (possible over a small GF(p)) does the
+    symbolic Bareiss determinant decide, as it does for an unverified
+    pencil under force=True.  There a determinant that is not such a
+    multiple raises DivisionFails: a non-representation or a degenerate form.
     """
     if not rep.verified and not force:
         raise InputError("rep is unverified; run verify_relation or pass force=True")
     if rep.size % rep.d != 0:
         raise DivisionFails(f"d={rep.d} does not divide t={rep.size}")
     r = rep.size // rep.d
+    if rep.verified:
+        unit = _unit_from_relation(rep, r)
+        if unit is not None:
+            return DetFactorization(unit, r)
     quotient = poly_matrix_det(assemble(rep.pencil))
     for step in range(r):
         quotient = quotient.exact_div(rep.f)

@@ -13,19 +13,34 @@ from .errors import CoefficientNotInField, FieldError
 MAX_PRIME = 1 << 61
 
 
+# Miller-Rabin with these bases is exact for every n < 3.18 * 10^23.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (moduli are < 2^61 by contract)."""
+    """Deterministic Miller-Rabin primality test over the prime bases up to 37.
+
+    Exact far beyond MAX_PRIME = 2^61, the bound on the moduli of fields.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -127,6 +142,10 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def pow(self, a, e: int):
+        """a^e for an exponent e >= 0."""
+        return a ** e if self.kind == "QQ" else pow(a, e, self.p)
 
     def inv_int(self, a: int) -> int:
         return pow(a, self.p - 2, self.p)

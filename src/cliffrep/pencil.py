@@ -109,6 +109,24 @@ def coefficients(pencil: LinearPencil) -> dict[tuple, list]:
     return out
 
 
+def pencil_at(pencil: LinearPencil, point: dict) -> list:
+    """M(q) as a t x t matrix of field scalars; q assigns every variable."""
+    field = pencil.ring.field
+    values = [field.of(point[name]) for name in pencil.ring.names]
+    t = pencil.size
+    out = [[field.zero] * t for _ in range(t)]
+    for alpha, c in coefficients(pencil).items():
+        weight = field.one
+        for v, e in zip(values, alpha):
+            weight = field.mul(weight, field.pow(v, e))
+        if weight:
+            for row, line in zip(out, c):
+                for j, x in enumerate(line):
+                    if x:
+                        row[j] = field.add(row[j], field.mul(weight, x))
+    return out
+
+
 def power_coefficients(pencil: LinearPencil, d: int) -> dict[tuple, list]:
     """The coefficients of M(y)^d, multiplied left to right; zero ones dropped.
 

@@ -69,10 +69,6 @@ def mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_evaluate(a: PolyMatrix, assignment: dict) -> PolyMatrix:
-    return [[x.evaluate(assignment) for x in row] for row in a]
-
-
 def block_diagonal(blocks: list[PolyMatrix]) -> PolyMatrix:
     ring = mat_ring(blocks[0])
     total = sum(mat_shape(b)[0] for b in blocks)

@@ -16,14 +16,14 @@ from math import comb
 from operator import mul
 
 from . import linalg
-from .clifford import CliffordRep, det_factorization, verify_relation, specialize_rep
+from .clifford import (CliffordRep, det_factorization, probe_points,
+                       specialize_rep, verify_relation)
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
 from .fields import prime_field
-from .pencil import LinearPencil, assemble, extract, mf_verify
+from .pencil import LinearPencil, assemble, extract, mf_verify, pencil_at
 from .poly import Poly, PolyRing
-from .polymat import (PolyMatrix, adjugate, mat_evaluate, mat_shape,
-                      poly_matrix_det)
+from .polymat import PolyMatrix, adjugate, mat_shape, poly_matrix_det
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, Report
 
 
@@ -36,29 +36,18 @@ class GradedCokernel:
     hilbert: list[int]
 
 
-# Any points give an exact answer; a constant seed keeps the work the same
-# on every run, whatever seed the caller passes.
-_DET_PROBE_SEED = 0
-_DET_PROBES = 4
-
-
-def _det_is_nonzero(matrix: PolyMatrix) -> bool:
-    """Whether det M != 0, proved by one full-rank value M(p) where possible.
+def _det_is_nonzero(pencil: LinearPencil) -> bool:
+    """Whether det M != 0, proved by one full-rank value M(q) where possible.
 
     A full-rank evaluation is an exact one-sided proof.  Only when every
     probe point is singular (e.g. a small field where det M vanishes at
     every point) does the symbolic determinant decide.
     """
-    ring = matrix[0][0].ring
-    field = ring.field
-    rng = random.Random(_DET_PROBE_SEED)
-    for _ in range(_DET_PROBES):
-        point = {name: rng.randrange(field.p) if field.kind == "GF"
-                 else rng.randint(-9, 9) for name in ring.names}
-        values = [[x.constant() for x in row] for row in mat_evaluate(matrix, point)]
-        if linalg.rank_field_matrix(field, values) == len(matrix):
+    field = pencil.ring.field
+    for point in probe_points(pencil.ring):
+        if linalg.rank_field_matrix(field, pencil_at(pencil, point)) == pencil.size:
             return True
-    return not poly_matrix_det(matrix).is_zero()
+    return not poly_matrix_det(assemble(pencil)).is_zero()
 
 
 def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
@@ -75,8 +64,8 @@ def hilbert_function(matrix: PolyMatrix, max_degree: int = 6) -> GradedCokernel:
     ring = matrix[0][0].ring
     if ring.base_count:
         raise UnsupportedBase("Hilbert functions need a plain coefficient field")
-    extract(matrix)  # every entry linear in the fiber variables
-    if not _det_is_nonzero(matrix):
+    pencil = extract(matrix)  # every entry linear in the fiber variables
+    if not _det_is_nonzero(pencil):
         raise InputError("det(M) = 0: the resolution is not exact and the "
                          "cokernel is not of the expected shape")
     return GradedCokernel(matrix, expected_hilbert(rows, ring.fiber_count - 1,
@@ -154,7 +143,10 @@ def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
             for m in rep.pencil.matrices]
     reduced = CliffordRep(LinearPencil(target, mats), reduce_poly(rep.f),
                           rep.d, rep.notes)
-    if not _det_is_nonzero(assemble(reduced.pencil)):
+    # M^d = f*I survives reduction, so det(M)^d = f^t: on a verified rep
+    # det(M) vanishes mod p exactly when f does
+    if (reduced.f.is_zero() if rep.verified
+            else not _det_is_nonzero(reduced.pencil)):
         raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
     if rep.verified:
         verify_relation(reduced)
@@ -169,7 +161,8 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
     On-hypersurface points come from univariate slices: fix all but one
     coordinate at random and scan the free one for roots of f.  Points where
     the gradient of f vanishes are recorded as singular and exempt from the
-    corank assertion.
+    corank assertion.  With one fiber variable V(f) is empty, which raises
+    at once the InputError an exhausted budget raises.
     """
     if rep.ring.base_count:
         raise UnsupportedBase("specialize the base before sampling coranks")
@@ -177,6 +170,9 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
         raise InputError("verify the relation before sampling coranks")
     if rep.ring.field.kind == "QQ":
         rep = reduce_rep_mod_prime(rep, prime)
+    if rep.ring.fiber_count == 1 and not rep.f.is_zero():
+        # f = c*y0^d with c != 0 vanishes nowhere on P^0: no slice can hit V(f)
+        raise InputError("found no points on the hypersurface within the budget")
     field = rep.ring.field
     p = field.p
     ring = rep.ring

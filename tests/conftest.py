@@ -1,7 +1,7 @@
 import pytest
 
 import cliffrep as cr
-from cliffrep import linalg
+from cliffrep import clifford, linalg, polymat, ulrich
 
 
 def quadric_ring(field):
@@ -78,3 +78,18 @@ def block_rep_gf7(gf7):
 @pytest.fixture
 def clock3_gf7(gf7):
     return clock_rep(gf7, [1, 2, 4])
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Sizes of the symbolic determinants taken, wherever callers look it up."""
+    sizes = []
+    original = polymat.poly_matrix_det
+
+    def counting(m):
+        sizes.append(len(m))
+        return original(m)
+
+    for module in (polymat, clifford, ulrich):
+        monkeypatch.setattr(module, "poly_matrix_det", counting)
+    return sizes

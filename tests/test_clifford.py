@@ -3,6 +3,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
 from cliffrep import linalg
@@ -104,6 +105,90 @@ def test_det_factorization_division_fails(qq):
     rep = cr.CliffordRep(cr.extract(matrix), cr.parse_poly("y0^2", ring), 2)
     with pytest.raises(DivisionFails):
         cr.det_factorization(rep, force=True)
+
+
+def bareiss_unit(rep):
+    """det M(y) / f^r by the symbolic determinant and exact division."""
+    quotient = cr.poly_matrix_det(cr.assemble(rep.pencil))
+    for _ in range(rep.clifford_index):
+        quotient = quotient.exact_div(rep.f)
+    assert quotient.is_constant()
+    return quotient.constant()
+
+
+@st.composite
+def sparse_invertible(draw, field, size):
+    """A monomial matrix times up to two transvections: random, invertible,
+    and sparse enough that Bareiss stays cheap on a conjugated t = 8 pencil."""
+    perm = draw(st.permutations(range(size)))
+    scalars = (st.integers(1, field.p - 1) if field.kind == "GF"
+               else st.integers(-5, 5).filter(bool))
+    theta = [[field.of(draw(scalars)) if perm[i] == j else field.zero
+              for j in range(size)] for i in range(size)]
+    if size > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.permutations(range(size)))[:2]
+            c = field.of(draw(scalars))
+            theta[i] = [field.add(x, field.mul(c, y))
+                        for x, y in zip(theta[i], theta[j])]
+    return theta
+
+
+def property_rep(kind, a, b):
+    gf101 = cr.prime_field(101)
+    qq = cr.rationals()
+    if kind == "clock_gf7":
+        return clock_rep(cr.prime_field(7), [1, 2, 4])
+    if kind == "gamma4_gf101":
+        return cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 4), [3, 5, 7, 11])
+    if kind == "gamma8_gf101":
+        return cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 6),
+                                    [3, 5, 7, 11, 13, 17])
+    if kind == "gamma_qq":
+        return cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 4), [a, -a, b, -b])
+    # two copies of a base-parametrized hyperplane, so theta can mix them
+    ring = cr.PolyRing(qq, 1, 3)
+    hyper = cr.hyperplane_rep(cr.parse_poly(f"{a}*t1*y0 - {b}*y1 + y2", ring))
+    return cr.twist_by_free(hyper, 2)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data(),
+       kind=st.sampled_from(["clock_gf7", "gamma4_gf101", "gamma8_gf101",
+                             "gamma_qq", "hyperplane_base"]),
+       a=st.integers(1, 6), b=st.integers(1, 6))
+def test_det_unit_from_relation_matches_bareiss(data, kind, a, b):
+    rep = property_rep(kind, a, b)
+    theta = data.draw(sparse_invertible(rep.ring.field, rep.size))
+    conj = cr.conjugate(rep, theta)
+    result = cr.det_factorization(conj)
+    assert result.exponent == conj.clifford_index
+    assert result.unit == bareiss_unit(conj)
+
+
+@pytest.mark.parametrize("p, factors", [
+    (2, ["y0", "y1", "y0 + y1"]),
+    (3, ["y0", "y1", "y0 + y1", "y0 - y1"]),
+])
+def test_det_factorization_falls_back_when_f_vanishes_everywhere(p, factors,
+                                                                 det_calls):
+    # f = y0*y1*(y0 + y1)*... vanishes at every point of GF(p)^2, so no
+    # probe point has f(q) != 0 and the symbolic determinant decides
+    ring = cr.PolyRing(cr.prime_field(p), 0, 2)
+    d = len(factors)
+    matrix = [[ring.zero()] * d for _ in range(d)]
+    for i, text in enumerate(factors):
+        matrix[i][(i + 1) % d] = cr.parse_poly(text, ring)
+    f = ring.one()
+    for text in factors:
+        f = f * cr.parse_poly(text, ring)
+    rep = cr.CliffordRep(cr.extract(matrix), f, d)
+    assert cr.verify_relation(rep).passed
+    result = cr.det_factorization(rep)
+    assert det_calls == [d]
+    # a d-cycle has sign (-1)^(d-1)
+    assert result.unit == bareiss_unit(rep) == (-1) ** (d - 1) % p
+    assert result.exponent == 1
 
 
 # -- equivalence -------------------------------------------------------------------

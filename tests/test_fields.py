@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cliffrep.errors import CoefficientNotInField, FieldError
-from cliffrep.fields import parse_field, prime_field, rationals
+from cliffrep.fields import (MAX_PRIME, is_prime, parse_field, prime_field,
+                             rationals)
 
 
 def test_prime_validation():
@@ -13,6 +14,28 @@ def test_prime_validation():
     for bad in (0, 1, 4, 9, 91, 1 << 61):
         with pytest.raises(FieldError):
             prime_field(bad)
+
+
+def test_is_prime_matches_sieve():
+    limit = 10 ** 5
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, int(limit ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, limit, n))
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 40 + 15)
+
+
+def test_prime_field_near_max_prime():
+    field = prime_field(2 ** 61 - 1)
+    assert field.p == MAX_PRIME - 1
+    assert field.mul(field.inv(3), 3) == 1
 
 
 def test_rational_arithmetic_exact():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import cliffrep as cr
+from cliffrep import linalg
 from cliffrep.errors import BadPrime, InputError, UnsupportedBase
 from conftest import block_quadric_rep, clock_rep, paper_f, paper_phi, quadric_ring
 
@@ -205,6 +208,19 @@ def test_certificate_one_fiber_variable(qq):
     assert "no points on the hypersurface" in records["corank-sampling"].witness["error"]
 
 
+def test_certificate_one_fiber_variable_default_prime(qq):
+    # V(3*y0) in P^0 is empty: decided before any slice is scanned
+    rep = cr.hyperplane_rep(cr.parse_poly("3*y0", cr.PolyRing(qq, 0, 1)))
+    cert = cr.ulrich_certificate(rep)
+    assert cert.report.budgets["sample_prime"] == 101
+    records = {r.name: r for r in cert.report.records}
+    assert records["corank-sampling"].status == "fail"
+    assert records["corank-sampling"].witness["error"] == (
+        "found no points on the hypersurface within the budget")
+    with pytest.raises(InputError, match="no points on the hypersurface"):
+        cr.corank_sampling(rep)
+
+
 def test_certificate_base_parametrized(qq):
     ring = cr.PolyRing(qq, 1, 2)
     rep = cr.hyperplane_rep(cr.parse_poly("t1*y0 + y1", ring))
@@ -230,3 +246,58 @@ def test_reduce_rep_mod_prime_guard(qq, block_rep_qq):
     reduced = cr.reduce_rep_mod_prime(block_rep_qq, 101)
     assert reduced.ring.field.p == 101
     assert reduced.verified
+
+
+# -- the determinant certificate from the relation ------------------------------
+
+
+def _statuses(cert):
+    return {r.name: r.status for r in cert.report.records}
+
+
+def test_certificates_take_no_symbolic_determinant(qq, det_calls):
+    gf101 = cr.prime_field(101)
+    gamma8 = cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 6), [3, 5, 7, 11, 13, 17])
+    gamma_qq = cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 4), [2, -2, 5, -5])
+    base = cr.hyperplane_rep(cr.parse_poly("3*t1*y0 - 4*y1 + y2",
+                                           cr.PolyRing(qq, 1, 3)))
+    base_config = cr.CertificateConfig(base_points=[{"t1": qq.of(2)},
+                                                    {"t1": qq.of(-5)}])
+    for rep, config in ((gamma8, None), (gamma_qq, None), (base, base_config)):
+        cert = cr.ulrich_certificate(rep, config)
+        assert cert.passed
+        assert _statuses(cert)["determinant-factorization"] == "pass"
+    assert "base1:corank-sampling" in _statuses(cert)
+    assert det_calls == []
+
+
+def test_certificate_gamma_sixteen(det_calls):
+    # t = 16: the symbolic determinant of this pencil does not finish in
+    # minutes; one point reads the unit off the relation
+    field = cr.prime_field(101)
+    rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, 8),
+                               [3, 5, 7, 11, 13, 17, 19, 23])
+    assert rep.size == 16
+    cert = cr.ulrich_certificate(rep)
+    assert cert.passed
+    assert det_calls == []
+    unit = cr.det_factorization(rep).unit
+    witness = next(r.witness for r in cert.report.records
+                   if r.name == "determinant-factorization")
+    assert witness == {"unit": str(unit), "exponent": 8}
+    mats = rep.scalar_matrices()
+    rng = random.Random(0)
+    for _ in range(5):  # det M(q) = unit * f(q)^8 at seeded points
+        q = [rng.randrange(101) for _ in range(8)]
+        m = [[sum(v * a[i][j] for v, a in zip(q, mats)) % 101
+              for j in range(16)] for i in range(16)]
+        value = rep.f.evaluate(dict(zip(rep.ring.names, q))).constant()
+        assert linalg.det(field, m) == unit * pow(value, 8, 101) % 101
+
+
+def test_bad_prime_of_verified_rep_takes_no_determinant(qq, det_calls):
+    rep = cr.hyperplane_rep(cr.parse_poly("101*y0 + 202*y1",
+                                          cr.PolyRing(qq, 0, 2)))
+    with pytest.raises(BadPrime, match="det\\(M\\) vanishes mod 101"):
+        cr.reduce_rep_mod_prime(rep, 101)
+    assert det_calls == []

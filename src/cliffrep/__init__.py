@@ -22,9 +22,8 @@ from .parsing import parse_poly
 from .pencil import (LinearPencil, MFPair, MFReport, assemble, extract,
                      mf_verify, pencil_power, specialize)
 from .poly import Poly, PolyRing
-from .polymat import (adjugate, block_diagonal, identity_matrix, mat_eq,
-                      mat_mul, poly_matrix_det, scalar_matrix,
-                      zero_matrix)
+from .polymat import (adjugate, identity_matrix, mat_eq, mat_mul,
+                      poly_matrix_det, scalar_matrix, zero_matrix)
 from .ulrich import (CertificateConfig, CorankSummary, GradedCokernel,
                      UlrichCertificate, corank_sampling, expected_hilbert,
                      fitting_exponent, hilbert_function,

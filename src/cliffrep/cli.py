@@ -166,7 +166,9 @@ def _corpus(args, config) -> int:
         label = name
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                label = json.load(handle).get("metadata", {}).get("label", name)
+                doc = json.load(handle)
+            meta = doc.get("metadata") if isinstance(doc, dict) else None
+            label = meta.get("label", name) if isinstance(meta, dict) else name
             rep, _ = read_pencil(path)
             cert = ulrich.ulrich_certificate(rep, config)
         except (CliffrepError, json.JSONDecodeError) as exc:

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import (DivisionFails, InputError, InternalInconsistency,
-                     UnsupportedBase)
-from .pencil import (LinearPencil, assemble, coefficients, extract,
-                     from_coefficients, pencil_at, power_coefficients,
-                     specialize)
+                     ShapeMismatch, UnsupportedBase)
+from .pencil import (LinearPencil, assemble, fiber_keys, pencil_at,
+                     power_coefficients, specialize)
 from .poly import Poly, PolyRing, monomials
-from .polymat import PolyMatrix, block_diagonal, poly_matrix_det
+from .polymat import PolyMatrix, poly_matrix_det
 
 
 class CliffordRep:
@@ -64,8 +63,9 @@ class CliffordRep:
         """The A_i as matrices of field scalars (base-free reps only)."""
         if self.ring.base_count:
             raise UnsupportedBase("pencil has base variables; specialize first")
-        return [[[entry.constant() for entry in row] for row in m]
-                for m in self.pencil.matrices]
+        zero = ((self.ring.field.zero,) * self.size,) * self.size
+        coefficients = self.pencil.coefficients
+        return [coefficients.get(key, zero) for key in fiber_keys(self.ring)]
 
     def __eq__(self, other):
         return (isinstance(other, CliffordRep) and self.pencil == other.pencil
@@ -103,11 +103,13 @@ def verify_relation(rep: CliffordRep) -> RelationCertificate:
     rep.f.require_y_homogeneous(rep.d, "Clifford form f")
     field = rep.ring.field
     t = rep.size
-    diff = power_coefficients(rep.pencil, rep.d)
+    # a copy: for d = 1 the power is the pencil's own coefficient dict
+    diff = dict(power_coefficients(rep.pencil, rep.d))
     for alpha, c in rep.f.terms.items():
-        m = diff.setdefault(alpha, [[field.zero] * t for _ in range(t)])
+        m = [list(row) for row in diff.get(alpha, [[field.zero] * t] * t)]
         for i in range(t):
             m[i][i] = field.sub(m[i][i], c)
+        diff[alpha] = m
     for i in range(t):
         for j in range(t):
             terms = {alpha: c[i][j] for alpha, c in diff.items() if c[i][j]}
@@ -146,14 +148,24 @@ _PROBE_SEED = 0
 _PROBES = 4
 
 
+def _random_scalars(field, rng: random.Random, count: int) -> list:
+    """count seeded scalars: uniform over GF(p), integers in [-9, 9] over QQ."""
+    if field.kind == "GF":
+        return [rng.randrange(field.p) for _ in range(count)]
+    return [field.of(rng.randint(-9, 9)) for _ in range(count)]
+
+
+def _seeded_points(field, names, seed: int):
+    """_PROBES points drawn from the seed, one scalar per name."""
+    rng = random.Random(seed)
+    for _ in range(_PROBES):
+        yield dict(zip(names, _random_scalars(field, rng, len(names))))
+
+
 def probe_points(ring: PolyRing):
     """The seeded points, one scalar per variable of the ring, that probe
     determinants; the same few points on every call."""
-    field = ring.field
-    rng = random.Random(_PROBE_SEED)
-    for _ in range(_PROBES):
-        yield {name: rng.randrange(field.p) if field.kind == "GF"
-               else rng.randint(-9, 9) for name in ring.names}
+    return _seeded_points(ring.field, ring.names, _PROBE_SEED)
 
 
 def _unit_from_relation(rep: CliffordRep, r: int):
@@ -208,13 +220,15 @@ def det_factorization(rep: CliffordRep, force: bool = False) -> DetFactorization
 
 def conjugate(rep: CliffordRep, theta: list) -> CliffordRep:
     """The rep with every A_i replaced by theta * A_i * theta^{-1}."""
+    if len(theta) != rep.size or any(len(row) != rep.size for row in theta):
+        raise ShapeMismatch(f"conjugating matrix must be {rep.size}x{rep.size}")
     field = rep.ring.field
     theta_inv = linalg.inv(field, theta)
     if theta_inv is None:
         raise InputError("conjugating matrix is singular")
     coeffs = {alpha: linalg.mat_mul(field, linalg.mat_mul(field, theta, c), theta_inv)
-              for alpha, c in coefficients(rep.pencil).items()}
-    pencil = extract(from_coefficients(rep.pencil, coeffs))
+              for alpha, c in rep.pencil.coefficients.items()}
+    pencil = LinearPencil.from_coefficients(rep.ring, rep.size, coeffs)
     out = CliffordRep(pencil, rep.f, rep.d, rep.notes)
     return _require_relation(out, "conjugate") if rep.verified else out
 
@@ -261,7 +275,7 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
         rows[key][k] = field.add(rows[key][k], c)
 
     # (T_mu C1_alpha)[a][y] gains C1_alpha[x][y] * T_mu[a][x]
-    for alpha, c1 in coefficients(rep1.pencil).items():
+    for alpha, c1 in rep1.pencil.coefficients.items():
         for x, line in enumerate(c1):
             for y, c in enumerate(line):
                 if c:
@@ -270,7 +284,7 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
                         for a in range(t2):
                             add((exp, a, y), (a * t1 + x) * nm + m, c)
     # (C2_alpha T_mu)[x][b] gains C2_alpha[x][y] * T_mu[y][b]
-    for alpha, c2 in coefficients(rep2.pencil).items():
+    for alpha, c2 in rep2.pencil.coefficients.items():
         for x, line in enumerate(c2):
             for y, c in enumerate(line):
                 if c:
@@ -297,10 +311,8 @@ def intertwiner_basis(rep1: CliffordRep, rep2: CliffordRep,
     """Basis of the space of theta (as Poly matrices) intertwining rep1 into rep2."""
     _check_compatible(rep1, rep2)
     rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
-    if not rows:
-        basis_vecs = linalg.nullspace(rep1.ring.field, [[rep1.ring.field.zero] * len(unknowns)])
-    else:
-        basis_vecs = linalg.nullspace(rep1.ring.field, rows)
+    field = rep1.ring.field
+    basis_vecs = linalg.nullspace(field, rows or [[field.zero] * len(unknowns)])
     return [_vector_to_theta(rep1.ring, unknowns, vec) for vec in basis_vecs]
 
 
@@ -320,8 +332,6 @@ def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
         raise UnsupportedBase("hom spaces are computed over a plain field; "
                               "specialize the base first")
     rows, unknowns = intertwiner_system(rep1, rep2)
-    if not rows:
-        return len(unknowns)
     return len(unknowns) - linalg.rank_field_matrix(rep1.ring.field, rows)
 
 
@@ -377,10 +387,7 @@ def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int,
         return None, count
     rng = random.Random(seed)
     for k in range(trials):
-        if field.kind == "GF":
-            coeffs = [rng.randrange(field.p) for _ in range(dim)]
-        else:
-            coeffs = [field.of(rng.randint(-9, 9)) for _ in range(dim)]
+        coeffs = _random_scalars(field, rng, dim)
         if not any(coeffs):
             continue
         theta = combine(coeffs)
@@ -393,22 +400,40 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
                      trials: int = 64, max_base_degree: int = 2) -> EquivalenceResult:
     """Decide equivalence by solving for an invertible intertwiner.
 
-    A zero intertwiner space in either direction rules equivalence out.  A
-    nonzero space with no invertible element found stays Inconclusive: over a
-    finite field the sampled span may simply have missed the units, and we
-    never promote absence of evidence to Inequivalent.
+    Over a plain field a zero intertwiner space in either direction rules
+    equivalence out.  Over a base ring the space searched is bounded by
+    max_base_degree, so a zero one proves nothing by itself: Inequivalent
+    then needs a base point q, drawn from the seed, where the fibers admit
+    no intertwiner.  That is a proof, since theta in GL_t(k[t]) has a
+    constant determinant and theta(q) intertwines the fibers invertibly.  A
+    nonzero space with no invertible element found stays Inconclusive: over
+    a finite field the sampled span may simply have missed the units, and
+    we never promote absence of evidence to Inequivalent.
     """
     _check_compatible(rep1, rep2)
     if rep1.size != rep2.size:
         return EquivalenceResult("inequivalent", reason="size mismatch")
-    delta = max_base_degree if rep1.ring.base_count else 0
-    basis_12 = intertwiner_basis(rep1, rep2, delta)
-    basis_21 = intertwiner_basis(rep2, rep1, delta)
+    basis_12 = intertwiner_basis(rep1, rep2, max_base_degree)
+    basis_21 = intertwiner_basis(rep2, rep1, max_base_degree)
     dims = (len(basis_12), len(basis_21))
     if not basis_12 or not basis_21:
+        ring = rep1.ring
+        if not ring.base_count:
+            return EquivalenceResult(
+                "inequivalent", dims=dims,
+                reason="intertwiner space is zero in at least one direction")
+        for point in _seeded_points(ring.field, ring.names[ring.fiber_count:], seed):
+            if not hom_space_dim(specialize_rep(rep1, point),
+                                 specialize_rep(rep2, point)):
+                at = ", ".join(f"{name}={v}" for name, v in point.items())
+                return EquivalenceResult(
+                    "inequivalent", dims=dims, seed=seed,
+                    reason=f"the fibers at {at} admit no intertwiner")
         return EquivalenceResult(
-            "inequivalent", dims=dims,
-            reason="intertwiner space is zero in at least one direction")
+            "inconclusive", dims=dims, basis=basis_12, seed=seed,
+            reason=f"no intertwiner of base degree <= max_base_degree="
+                   f"{max_base_degree} in at least one direction, but the "
+                   f"fibers at {_PROBES} seeded base points admit intertwiners")
     theta, used = _search_invertible(rep1.ring.field, basis_12, seed, trials)
     if theta is not None:
         return EquivalenceResult("equivalent", theta=theta, dims=dims,
@@ -422,11 +447,24 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
 # -- sums and twists -----------------------------------------------------------
 
 
+def _block_diagonal(pencils: list[LinearPencil]) -> LinearPencil:
+    """The pencil whose coefficient matrices are block diagonal, one block
+    per pencil (all over one ring)."""
+    ring, size = pencils[0].ring, sum(p.size for p in pencils)
+    out: dict = {}
+    offset = 0
+    for pencil in pencils:
+        for alpha, c in pencil.coefficients.items():
+            block = out.setdefault(alpha, [[ring.field.zero] * size for _ in range(size)])
+            for i, row in enumerate(c):
+                block[offset + i][offset:offset + pencil.size] = row
+        offset += pencil.size
+    return LinearPencil.from_coefficients(ring, size, out)
+
+
 def direct_sum(rep1: CliffordRep, rep2: CliffordRep) -> CliffordRep:
     _check_compatible(rep1, rep2)
-    mats = [block_diagonal([[list(r) for r in m1], [list(r) for r in m2]])
-            for m1, m2 in zip(rep1.pencil.matrices, rep2.pencil.matrices)]
-    out = CliffordRep(LinearPencil(rep1.ring, mats), rep1.f, rep1.d,
+    out = CliffordRep(_block_diagonal([rep1.pencil, rep2.pencil]), rep1.f, rep1.d,
                       rep1.notes + rep2.notes)
     if rep1.verified and rep2.verified:
         return _require_relation(out, "direct_sum")
@@ -443,9 +481,7 @@ def twist_by_free(rep: CliffordRep, mult: int) -> CliffordRep:
         raise InputError("multiplicity must be >= 1")
     if mult == 1:
         return rep
-    mats = [block_diagonal([[list(r) for r in m]] * mult)
-            for m in rep.pencil.matrices]
-    out = CliffordRep(LinearPencil(rep.ring, mats), rep.f, rep.d, rep.notes)
+    out = CliffordRep(_block_diagonal([rep.pencil] * mult), rep.f, rep.d, rep.notes)
     return _require_relation(out, "twist_by_free") if rep.verified else out
 
 
@@ -534,16 +570,9 @@ def irreducibility_check(rep: CliffordRep, seed: int = 0,
             "irreducible", algebra_dim,
             detail=f"generated algebra is all of {size}x{size} matrices")
     rng = random.Random(seed)
-    candidates = []
-    for i in range(size):
-        v = [field.zero] * size
-        v[i] = field.one
-        candidates.append(v)
-    for _ in range(vector_trials):
-        if field.kind == "GF":
-            candidates.append([rng.randrange(field.p) for _ in range(size)])
-        else:
-            candidates.append([field.of(rng.randint(-9, 9)) for _ in range(size)])
+    candidates = [[field.one if i == j else field.zero for j in range(size)]
+                  for i in range(size)]
+    candidates += [_random_scalars(field, rng, size) for _ in range(vector_trials)]
     for v in candidates:
         if not any(v):
             continue

@@ -15,9 +15,9 @@ from .clifford import (CliffordRep, _require_relation, equivalence_test,
 from .errors import (GammaConstructionError, InputError, InternalInconsistency,
                      NondiagonalInput, RotationMismatch)
 from .fields import Field
-from .pencil import LinearPencil, MFPair, extract
+from .pencil import LinearPencil, MFPair, extract, fiber_keys
 from .poly import Poly, PolyRing
-from .polymat import PolyMatrix, mat_shape, zero_matrix
+from .polymat import PolyMatrix, mat_shape
 
 
 # -- degree one ----------------------------------------------------------------
@@ -115,16 +115,18 @@ def clock_shift_rep(form: SplitBinaryForm) -> CliffordRep:
     if d < 2:
         raise InputError("clock-shift construction needs degree >= 2")
     ring = form.ring
-    matrix = zero_matrix(ring, d)
-    y0, y1 = ring.var("y0"), ring.var("y1")
+    field = ring.field
+    shift, clock = ([[field.zero] * d for _ in range(d)] for _ in range(2))
     for i in range(d):
         j = (i + 1) % d
-        matrix[i][j] = y0 + y1.scale(form.roots[j])
+        shift[i][j], clock[i][j] = field.one, field.of(form.roots[j])
     notes = ()
     if form.has_repeated_roots:
         notes = ("non-reduced form: repeated roots "
                  + ", ".join(str(c) for c in form.roots),)
-    rep = CliffordRep(extract(matrix), form.f, d, notes)
+    pencil = LinearPencil.from_coefficients(
+        ring, d, dict(zip(fiber_keys(ring), (shift, clock))))
+    rep = CliffordRep(pencil, form.f, d, notes)
     return _require_relation(rep, "clock_shift_rep")
 
 
@@ -172,27 +174,16 @@ def solve_norm_equation(field: Field, a, b):
 
 
 def _kron_scalar(field: Field, a: list, b: list) -> list:
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[field.zero] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if not a[i][j]:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = field.mul(a[i][j], b[k][l])
-    return out
+    """The Kronecker product: entry (i*rb + k, j*cb + l) is a[i][j] * b[k][l]."""
+    return [[field.mul(x, y) for x in row_a for y in row_b]
+            for row_a in a for row_b in b]
 
 
 def _scalar_square_value(field: Field, m: list):
     sq = linalg.mat_mul(field, m, m)
-    size = len(m)
     c = sq[0][0]
-    for i in range(size):
-        for j in range(size):
-            if sq[i][j] != (c if i == j else field.zero):
-                raise InternalInconsistency("twist element does not square to a scalar")
+    if sq != [[c if i == j else field.zero for j in range(len(m))] for i in range(len(m))]:
+        raise InternalInconsistency("twist element does not square to a scalar")
     return c
 
 
@@ -241,42 +232,19 @@ def gamma_quadric_rep(ring: PolyRing, coeffs) -> CliffordRep:
     """Representation of the diagonal quadric sum(a_i * y_i^2).
 
     Size is 2^ceil((n+1)/2); characteristic 2 and zero coefficients are
-    rejected.  Generator anticommutation is re-checked directly, independent
-    of the final relation check.
+    rejected.  The relation check compares the coefficient matrices G_i^2
+    and G_i*G_j + G_j*G_i of M^2 with those of f*I, so it also proves that
+    the generators square to the a_i and anticommute.
     """
     coeffs = [ring.field.of(a) for a in coeffs]
     if len(coeffs) != ring.fiber_count:
         raise InputError(f"expected {ring.fiber_count} coefficients, got {len(coeffs)}")
-    field = ring.field
-    gens = gamma_generators(field, coeffs)
-    _check_gamma_relations(field, gens, coeffs)
-    mats = [[[ring.const(x) for x in row] for row in g] for g in gens]
-    f = ring.zero()
-    for i, a in enumerate(coeffs):
-        y = ring.var(ring.names[i])
-        f = f + (y * y).scale(a)
-    rep = CliffordRep(LinearPencil(ring, mats), f, 2)
+    gens = gamma_generators(ring.field, coeffs)
+    keys = fiber_keys(ring)
+    pencil = LinearPencil.from_coefficients(ring, len(gens[0]), dict(zip(keys, gens)))
+    f = Poly(ring, {tuple(2 * e for e in key): a for key, a in zip(keys, coeffs)})
+    rep = CliffordRep(pencil, f, 2)
     return _require_relation(rep, "gamma_quadric_rep")
-
-
-def _check_gamma_relations(field: Field, gens: list, coeffs: list):
-    size = len(gens[0])
-    for i, g in enumerate(gens):
-        sq = linalg.mat_mul(field, g, g)
-        for a in range(size):
-            for b in range(size):
-                want = coeffs[i] if a == b else field.zero
-                if sq[a][b] != want:
-                    raise InternalInconsistency(f"generator {i} squares wrong")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            anti = linalg.mat_mul(field, gens[i], gens[j])
-            ji = linalg.mat_mul(field, gens[j], gens[i])
-            for a in range(size):
-                for b in range(size):
-                    if field.add(anti[a][b], ji[a][b]) != field.zero:
-                        raise InternalInconsistency(
-                            f"generators {i},{j} do not anticommute")
 
 
 def diagonal_coefficients(f: Poly) -> list:
@@ -326,14 +294,11 @@ def cyclic_block_rep(factors: list[PolyMatrix], f: Poly) -> CliffordRep:
         if mat_shape(m) != (size, size):
             raise InputError(f"factor {k} is not {size}x{size}")
     f.require_y_homogeneous(d, "cyclic factorization form")
-    ring = f.ring
-    block = zero_matrix(ring, d * size)
-    for i in range(d):
-        m = factors[i]
-        col = (i + 1) % d
-        for a in range(size):
-            for b in range(size):
-                block[i * size + a][col * size + b] = m[a][b]
+    zero = f.ring.zero()
+    # factor i fills block row i, block column i + 1 (mod d)
+    block = [[factors[i][a][b] if j == (i + 1) % d else zero
+              for j in range(d) for b in range(size)]
+             for i in range(d) for a in range(size)]
     rep = CliffordRep(extract(block), f, d)
     relation = verify_relation(rep)
     if not relation.passed:
@@ -391,8 +356,8 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
                 break
         if not ok:
             continue
-        poly_mats = [[[ring.const(x) for x in row] for row in m] for m in mats]
-        rep = CliffordRep(LinearPencil(ring, poly_mats), f, d)
+        pencil = LinearPencil.from_coefficients(ring, t, dict(zip(fiber_keys(ring), mats)))
+        rep = CliffordRep(pencil, f, d)
         if not verify_relation(rep).passed:
             continue
         matched = False

@@ -1,7 +1,9 @@
 """Pencil files: JSON documents with canonical polynomial strings as leaves.
 
 A document round-trips byte-identically after canonicalization (terms
-sorted, coefficients normalized by the parser/printer pair).
+sorted, coefficients normalized by the parser/printer pair).  A document of
+the wrong shape (not an object, a non-integer count, a non-string entry)
+raises InputError.
 """
 from __future__ import annotations
 
@@ -16,22 +18,37 @@ from .fields import parse_field
 from .reports import digest_bytes
 
 
-def ring_from_header(doc: dict) -> PolyRing:
+def _integer(value, key: str) -> int:
     try:
-        field = parse_field(doc["field"])
-        base = int(doc.get("base_vars", 0))
-        fiber = int(doc["fiber_vars"])
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"document key {key!r} must be an integer, got {value!r}") from exc
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def ring_from_header(doc: dict) -> PolyRing:
+    if not isinstance(doc, dict):
+        raise InputError(f"a document must be a JSON object, got {type(doc).__name__}")
+    try:
+        field = parse_field(_text(doc["field"], "the field"))
+        base = _integer(doc.get("base_vars", 0), "base_vars")
+        fiber = _integer(doc["fiber_vars"], "fiber_vars")
     except KeyError as exc:
         raise InputError(f"pencil document missing key {exc}") from exc
     return PolyRing(field, base, fiber)
 
 
-def _grid_to_strings(matrix) -> list:
-    return [[str(entry) for entry in row] for row in matrix]
-
-
 def _grid_from_strings(grid, ring: PolyRing) -> list:
-    return [[parse_poly(text, ring) for text in row] for row in grid]
+    if (not isinstance(grid, list) or not all(isinstance(row, list) for row in grid)
+            or len({len(row) for row in grid}) > 1):
+        raise InputError(f"a matrix must be a list of rows of one length, got {grid!r}")
+    return [[parse_poly(_text(text, "a polynomial entry"), ring) for text in row]
+            for row in grid]
 
 
 def pencil_document(rep: CliffordRep, metadata: dict | None = None) -> dict:
@@ -43,7 +60,8 @@ def pencil_document(rep: CliffordRep, metadata: dict | None = None) -> dict:
         "degree": rep.d,
         "size": rep.size,
         "f": str(rep.f),
-        "matrices": [_grid_to_strings(m) for m in rep.pencil.matrices],
+        "matrices": [[[str(entry) for entry in row] for row in m]
+                     for m in rep.pencil.matrices],
     }
     meta = dict(metadata or {})
     if rep.notes:
@@ -56,18 +74,24 @@ def pencil_document(rep: CliffordRep, metadata: dict | None = None) -> dict:
 def load_pencil_document(doc: dict) -> CliffordRep:
     ring = ring_from_header(doc)
     try:
-        f = parse_poly(doc["f"], ring)
-        degree = int(doc["degree"])
+        f = parse_poly(_text(doc["f"], "f"), ring)
+        degree = _integer(doc["degree"], "degree")
         grids = doc["matrices"]
     except KeyError as exc:
         raise InputError(f"pencil document missing key {exc}") from exc
+    if not isinstance(grids, list):
+        raise InputError(f"matrices must be a list, got {grids!r}")
     if len(grids) != ring.fiber_count:
         raise InputError(f"expected {ring.fiber_count} matrices, got {len(grids)}")
     mats = [_grid_from_strings(g, ring) for g in grids]
     pencil = LinearPencil(ring, mats)
-    if "size" in doc and int(doc["size"]) != pencil.size:
+    if "size" in doc and _integer(doc["size"], "size") != pencil.size:
         raise InputError(f"declared size {doc['size']} != actual {pencil.size}")
-    notes = tuple(doc.get("metadata", {}).get("notes", ()))
+    metadata = doc.get("metadata", {})
+    notes = metadata.get("notes", []) if isinstance(metadata, dict) else None
+    if not isinstance(notes, (list, tuple)) or not all(isinstance(n, str) for n in notes):
+        raise InputError(f"metadata must be an object whose notes are strings, "
+                         f"got {metadata!r}")
     return CliffordRep(pencil, f, degree, notes)
 
 
@@ -94,7 +118,7 @@ def read_pencil(path: str) -> tuple[CliffordRep, str]:
 def load_mf_document(doc: dict) -> MFPair:
     ring = ring_from_header(doc)
     try:
-        f = parse_poly(doc["f"], ring)
+        f = parse_poly(_text(doc["f"], "f"), ring)
         phi = _grid_from_strings(doc["phi"], ring)
         psi = _grid_from_strings(doc["psi"], ring)
     except KeyError as exc:
@@ -105,7 +129,7 @@ def load_mf_document(doc: dict) -> MFPair:
 def load_factors_document(doc: dict) -> tuple[list, Poly]:
     ring = ring_from_header(doc)
     try:
-        f = parse_poly(doc["f"], ring)
+        f = parse_poly(_text(doc["f"], "f"), ring)
         factors = [_grid_from_strings(g, ring) for g in doc["factors"]]
     except KeyError as exc:
         raise InputError(f"factor chain document missing key {exc}") from exc

@@ -7,6 +7,7 @@ exact; nothing in this package touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import CoefficientNotInField, FieldError
 
@@ -164,7 +165,7 @@ class Field:
         if self.kind == "QQ":
             if not self.is_square(a):
                 raise FieldError(f"{a} is not a square in QQ")
-            return Fraction(_isqrt(a.numerator), _isqrt(a.denominator))
+            return Fraction(isqrt(a.numerator), isqrt(a.denominator))
         a %= self.p
         if a == 0:
             return 0
@@ -173,15 +174,10 @@ class Field:
         return _tonelli_shanks(a, self.p)
 
 
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)
-
-
 def _is_square_int(n: int) -> bool:
     if n < 0:
         return False
-    r = _isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 

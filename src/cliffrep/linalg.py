@@ -9,6 +9,7 @@ integer fallback, so results are exact in every case.
 """
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 import numpy as np
@@ -240,15 +241,7 @@ def rank_field_matrix(field: Field, mat: list) -> int:
     if field.kind == "QQ":
         scaled = []
         for row in mat:
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in row))
             scaled.append([int(x * denom) for x in row])
         return rank_int_matrix(scaled)
     return rank(field, mat)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

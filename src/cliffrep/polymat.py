@@ -17,20 +17,13 @@ def mat_shape(m: PolyMatrix) -> tuple[int, int]:
     return len(m), len(m[0]) if m else 0
 
 
-def mat_ring(m: PolyMatrix) -> PolyRing:
-    return m[0][0].ring
-
-
 def zero_matrix(ring: PolyRing, rows: int, cols: int | None = None) -> PolyMatrix:
     cols = rows if cols is None else cols
     return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
 
 
 def identity_matrix(ring: PolyRing, size: int) -> PolyMatrix:
-    out = zero_matrix(ring, size)
-    for i in range(size):
-        out[i][i] = ring.one()
-    return out
+    return scalar_matrix(ring.one(), size)
 
 
 def scalar_matrix(f: Poly, size: int) -> PolyMatrix:
@@ -38,12 +31,6 @@ def scalar_matrix(f: Poly, size: int) -> PolyMatrix:
     for i in range(size):
         out[i][i] = f
     return out
-
-
-def mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if mat_shape(a) != mat_shape(b):
-        raise ShapeMismatch(f"{mat_shape(a)} vs {mat_shape(b)}")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -69,20 +56,6 @@ def mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def block_diagonal(blocks: list[PolyMatrix]) -> PolyMatrix:
-    ring = mat_ring(blocks[0])
-    total = sum(mat_shape(b)[0] for b in blocks)
-    out = zero_matrix(ring, total)
-    offset = 0
-    for b in blocks:
-        size = mat_shape(b)[0]
-        for i in range(size):
-            for j in range(size):
-                out[offset + i][offset + j] = b[i][j]
-        offset += size
-    return out
-
-
 # -- determinants ---------------------------------------------------------------
 
 
@@ -93,7 +66,7 @@ def poly_matrix_det(m: PolyMatrix) -> Poly:
         raise ShapeMismatch("determinant needs a square matrix")
     if n == 0:
         raise ShapeMismatch("empty matrix has no determinant here")
-    ring = mat_ring(m)
+    ring = m[0][0].ring
     a = [row[:] for row in m]
     sign = 1
     prev = ring.one()
@@ -126,8 +99,8 @@ def adjugate(m: PolyMatrix) -> PolyMatrix:
     if n != c:
         raise ShapeMismatch("adjugate needs a square matrix")
     if n == 1:
-        return [[mat_ring(m).one()]]
-    out = zero_matrix(mat_ring(m), n)
+        return [[m[0][0].ring.one()]]
+    out = zero_matrix(m[0][0].ring, n)
     for i in range(n):
         for j in range(n):
             minor = [[m[r][col] for col in range(n) if col != j]

@@ -1,15 +1,18 @@
 import ast
+import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
 from cliffrep import linalg
+from cliffrep.documents import dumps_document
 from cliffrep.errors import (DivisionFails, ExponentOverflow, InputError,
                              InternalInconsistency, NotHomogeneous,
-                             UnsupportedBase)
+                             ShapeMismatch, UnsupportedBase)
 from conftest import (block_quadric_rep, clock_rep, paper_f, paper_phi,
                       quadric_ring, random_invertible)
 
@@ -27,6 +30,16 @@ def test_verify_hyperplane(qq):
     cert = cr.verify_relation(rep)
     assert cert.passed and cert.clifford_index == 1
     assert rep.verified
+
+
+def test_verify_leaves_the_pencil_alone(qq):
+    # for d = 1 the power of M is the pencil's own coefficient dict
+    rep = hyperplane_22(qq)
+    before = dict(rep.pencil.coefficients)
+    wrong = cr.CliffordRep(rep.pencil, cr.parse_poly("y0", rep.ring), 1)
+    assert not cr.verify_relation(wrong).passed
+    assert rep.pencil.coefficients == before
+    assert cr.verify_relation(rep).passed
 
 
 def test_verify_block_quadric(block_rep_qq):
@@ -152,10 +165,17 @@ def property_rep(kind, a, b):
     return cr.twist_by_free(hyper, 2)
 
 
+PROPERTY_KINDS = st.sampled_from(["clock_gf7", "gamma4_gf101", "gamma8_gf101",
+                                   "gamma_qq", "hyperplane_base"])
+
+
+def base_free(rep, t1):
+    """The rep itself, or its fiber at t1 when it has a base variable."""
+    return cr.specialize_rep(rep, {"t1": t1}) if rep.ring.base_count else rep
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(data=st.data(),
-       kind=st.sampled_from(["clock_gf7", "gamma4_gf101", "gamma8_gf101",
-                             "gamma_qq", "hyperplane_base"]),
+@given(data=st.data(), kind=PROPERTY_KINDS,
        a=st.integers(1, 6), b=st.integers(1, 6))
 def test_det_unit_from_relation_matches_bareiss(data, kind, a, b):
     rep = property_rep(kind, a, b)
@@ -164,6 +184,65 @@ def test_det_unit_from_relation_matches_bareiss(data, kind, a, b):
     result = cr.det_factorization(conj)
     assert result.exponent == conj.clifford_index
     assert result.unit == bareiss_unit(conj)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), kind=PROPERTY_KINDS, a=st.integers(1, 6),
+       b=st.integers(1, 6), t1=st.integers(-9, 9))
+def test_conjugation_preserves_relation_and_hilbert(data, kind, a, b, t1):
+    rep = property_rep(kind, a, b)
+    theta = data.draw(sparse_invertible(rep.ring.field, rep.size))
+    conj = cr.conjugate(rep, theta)
+    cert = cr.verify_relation(conj)
+    assert cert.passed and cert.clifford_index == rep.clifford_index
+    fiber, conj_fiber = base_free(rep, t1), base_free(conj, t1)
+    assert (cr.hilbert_function(cr.assemble(conj_fiber.pencil), 4).hilbert
+            == cr.hilbert_function(cr.assemble(fiber.pencil), 4).hilbert)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), kind=PROPERTY_KINDS, a=st.integers(1, 6),
+       b=st.integers(1, 6), t1=st.integers(-9, 9))
+def test_hom_dimension_is_additive_over_direct_sums(data, kind, a, b, t1):
+    rep = property_rep(kind, a, b)
+    theta = data.draw(sparse_invertible(rep.ring.field, rep.size))
+    one = base_free(rep, t1)
+    other = base_free(cr.conjugate(rep, theta), t1)
+    summed = cr.direct_sum(one, other)
+    for target in (one, cr.twist_by_free(one, 2)):
+        assert (cr.hom_space_dim(summed, target)
+                == cr.hom_space_dim(one, target) + cr.hom_space_dim(other, target))
+        assert (cr.hom_space_dim(target, summed)
+                == cr.hom_space_dim(target, one) + cr.hom_space_dim(target, other))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), kind=PROPERTY_KINDS,
+       a=st.integers(1, 6), b=st.integers(1, 6))
+def test_document_round_trip(data, kind, a, b):
+    rep = property_rep(kind, a, b)
+    theta = data.draw(sparse_invertible(rep.ring.field, rep.size))
+    for original in (rep, cr.conjugate(rep, theta)):
+        text = dumps_document(cr.pencil_document(original))
+        loaded = cr.load_pencil_document(json.loads(text))
+        assert loaded == original
+        assert dumps_document(cr.pencil_document(loaded)) == text
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), a=st.integers(1, 6), b=st.integers(1, 6),
+       t1=st.integers(-20, 20), prime=st.sampled_from([7, 11, 101]))
+def test_reduction_commutes_with_specialization(data, a, b, t1, prime):
+    # theta has determinant +-(a product of scalars in -5..5), so no prime
+    # >= 7 divides a denominator of the conjugate
+    rep = property_rep("hyperplane_base", a, b)
+    theta = data.draw(sparse_invertible(rep.ring.field, rep.size))
+    conj = cr.conjugate(rep, theta)
+    fiber = cr.specialize_rep(conj, {"t1": t1})
+    assert cr.verify_relation(fiber).passed
+    reduced = cr.reduce_rep_mod_prime(conj, prime)
+    assert (cr.reduce_rep_mod_prime(fiber, prime)
+            == cr.specialize_rep(reduced, {"t1": t1}))
 
 
 @pytest.mark.parametrize("p, factors", [
@@ -307,6 +386,13 @@ def test_reverification_failure_is_internal_inconsistency(qq):
         cr.twist_by_free(fake, 2)
 
 
+def test_conjugate_rejects_a_wrong_size_theta(qq):
+    rep = cr.twist_by_free(hyperplane_22(qq), 2)
+    eye3 = [[qq.one if i == j else qq.zero for j in range(3)] for i in range(3)]
+    with pytest.raises(ShapeMismatch):
+        cr.conjugate(rep, eye3)
+
+
 def test_package_has_no_assert_statements():
     # invariants must hold under python -O, which strips assert
     root = pathlib.Path(cr.__file__).parent
@@ -442,13 +528,18 @@ def test_base_change_hyperplane(qq):
         assert cr.verify_relation(fiber).passed
 
 
-def test_base_change_parametrized_quadric(qq):
-    # 2x2 pencil with f = y0^2 - t1^2*y1^2; relation holds identically
+def parametrized_quadric(qq):
+    """[[0, y0 - t1*y1], [y0 + t1*y1, 0]], with f = y0^2 - t1^2*y1^2."""
     ring = cr.PolyRing(qq, 1, 2)
     matrix = [[ring.zero(), cr.parse_poly("y0 - t1*y1", ring)],
               [cr.parse_poly("y0 + t1*y1", ring), ring.zero()]]
     f = cr.parse_poly("y0^2 - t1^2*y1^2", ring)
-    rep = cr.CliffordRep(cr.extract(matrix), f, 2)
+    return cr.CliffordRep(cr.extract(matrix), f, 2)
+
+
+def test_base_change_parametrized_quadric(qq):
+    # 2x2 pencil with f = y0^2 - t1^2*y1^2; relation holds identically
+    rep = parametrized_quadric(qq)
     assert cr.verify_relation(rep).passed
     rng = random.Random(17)
     for _ in range(10):
@@ -463,11 +554,7 @@ def test_base_change_parametrized_quadric(qq):
 def test_equivalence_with_base_parameters(qq):
     # conjugation by a constant matrix over the base ring is detected with
     # the bounded-degree intertwiner search
-    ring = cr.PolyRing(qq, 1, 2)
-    matrix = [[ring.zero(), cr.parse_poly("y0 - t1*y1", ring)],
-              [cr.parse_poly("y0 + t1*y1", ring), ring.zero()]]
-    f = cr.parse_poly("y0^2 - t1^2*y1^2", ring)
-    rep = cr.CliffordRep(cr.extract(matrix), f, 2)
+    rep = parametrized_quadric(qq)
     theta = [[qq.of(1), qq.of(2)], [qq.of(0), qq.of(1)]]
     other = cr.conjugate(rep, theta)
     result = cr.equivalence_test(rep, other, max_base_degree=1)
@@ -475,11 +562,7 @@ def test_equivalence_with_base_parameters(qq):
 
 
 def test_base_intertwiners_intertwine(qq):
-    ring = cr.PolyRing(qq, 1, 2)
-    matrix = [[ring.zero(), cr.parse_poly("y0 - t1*y1", ring)],
-              [cr.parse_poly("y0 + t1*y1", ring), ring.zero()]]
-    f = cr.parse_poly("y0^2 - t1^2*y1^2", ring)
-    rep = cr.CliffordRep(cr.extract(matrix), f, 2)
+    rep = parametrized_quadric(qq)
     other = cr.conjugate(rep, [[qq.of(1), qq.of(2)], [qq.of(0), qq.of(1)]])
     for rep1, rep2 in ((rep, rep), (rep, other), (other, rep)):
         basis = cr.intertwiner_basis(rep1, rep2, max_base_degree=1)
@@ -488,3 +571,71 @@ def test_base_intertwiners_intertwine(qq):
             for a1, a2 in zip(rep1.pencil.matrices, rep2.pencil.matrices):
                 assert cr.mat_eq(cr.mat_mul(theta, [list(r) for r in a1]),
                                  cr.mat_mul([list(r) for r in a2], theta))
+
+
+def test_bounded_base_degree_is_no_proof_of_inequivalence(qq):
+    # theta = [[1, t1^3], [0, 1]] has determinant 1, so the conjugate is
+    # equivalent, but theta has base degree 3 > max_base_degree = 2
+    rep = parametrized_quadric(qq)
+    ring = rep.ring
+    cube = cr.parse_poly("t1^3", ring)
+    theta = [[ring.one(), cube], [ring.zero(), ring.one()]]
+    theta_inv = [[ring.one(), -cube], [ring.zero(), ring.one()]]
+    matrix = cr.mat_mul(cr.mat_mul(theta, cr.assemble(rep.pencil)), theta_inv)
+    other = cr.CliffordRep(cr.extract(matrix), rep.f, 2)
+    assert cr.verify_relation(other).passed
+    for seed in range(4):
+        result = cr.equivalence_test(rep, other, seed=seed)
+        assert result.verdict == "inconclusive"
+        assert result.dims == (0, 0)
+        assert "max_base_degree=2" in result.reason
+    assert cr.equivalence_test(rep, other, max_base_degree=3).verdict == "equivalent"
+
+
+def test_fiber_proof_of_inequivalence(qq):
+    # [[y0, y1 +- t1*y2], [-y1 +- t1*y2, -y0]] both square to f*I
+    ring = cr.PolyRing(qq, 1, 3)
+    f = cr.parse_poly("y0^2 - y1^2 + t1^2*y2^2", ring)
+    plus, minus = (cr.CliffordRep(cr.extract(
+        [[cr.parse_poly(text, ring) for text in row]
+         for row in (("y0", f"y1 {s} t1*y2"), (f"-y1 {s} t1*y2", "-y0"))]), f, 2)
+        for s in "+-")
+    assert cr.verify_relation(plus).passed and cr.verify_relation(minus).passed
+    assert cr.hom_space_dim(cr.specialize_rep(plus, {"t1": 3}),
+                            cr.specialize_rep(minus, {"t1": 3})) == 0
+    for seed in range(3):
+        result = cr.equivalence_test(plus, minus, seed=seed)
+        assert result.verdict == "inequivalent"
+        # the reason names the base point; replay the proof there
+        point = {"t1": int(re.search(r"t1=(-?\d+)", result.reason).group(1))}
+        assert point["t1"] != 0
+        assert cr.hom_space_dim(cr.specialize_rep(plus, point),
+                                cr.specialize_rep(minus, point)) == 0
+
+
+def test_coefficient_constructors_build_no_poly(qq, monkeypatch):
+    rep = property_rep("gamma8_gf101", 0, 0)
+    assert rep.verified and rep.size == 8
+    theta = random_invertible(rep.ring.field, rep.size, random.Random(3))
+    base = parametrized_quadric(qq).pencil
+    built = []
+    original = cr.Poly.__init__
+
+    def counting(self, ring, terms):
+        built.append(terms)
+        original(self, ring, terms)
+
+    monkeypatch.setattr(cr.Poly, "__init__", counting)
+    conj = cr.conjugate(rep, theta)
+    summed = cr.direct_sum(rep, conj)
+    twisted = cr.twist_by_free(rep, 2)
+    fiber = cr.specialize(base, {"t1": 5})
+    monkeypatch.undo()
+    assert built == []
+    assert conj.verified and summed.verified and twisted.verified
+    assert summed.size == twisted.size == 16
+    ring = fiber.ring
+    assert ring.base_count == 0
+    assert fiber == cr.extract(
+        [[ring.zero(), cr.parse_poly("y0 - 5*y1", ring)],
+         [cr.parse_poly("y0 + 5*y1", ring), ring.zero()]])

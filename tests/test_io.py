@@ -254,6 +254,20 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli_dispatch(["construct", "clock-shift", "--field", "QQ"]) == 3
     assert cli_dispatch(["cohomology", "--n", "3", "--d", "2", "--j", "9"]) == 3
     assert cli_dispatch(["nonsense"]) == 3
+    good = {"field": "QQ", "fiber_vars": 2, "degree": 1, "f": "y0",
+            "matrices": [[["1"]], [["0"]]]}
+    ragged = [[["1", "0"], ["0", "0", "0"]], [["0", "0"], ["0", "0"]]]
+    for doc in (dict(good, degree="two"), dict(good, fiber_vars="x"), [good],
+                dict(good, matrices=[[[1]], [["0"]]]), dict(good, matrices=ragged)):
+        bad.write_text(json.dumps(doc))
+        assert cli_dispatch(["verify", str(bad)]) == 3
+    bad.write_text(json.dumps(good))
+    assert cli_dispatch(["verify", str(bad)]) == 0
+    # a long row must not lose its extra entry
+    bad.write_text(json.dumps({"field": "QQ", "fiber_vars": 4, "f": "y0*y3 - y1*y2",
+                               "phi": [["y0", "y1"], ["y2", "y3", "y0"]],
+                               "psi": [["y3", "-y1"], ["-y2", "y0"]]}))
+    assert cli_dispatch(["construct", "block-mf", "--input", str(bad)]) == 3
     capsys.readouterr()
 
 

@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["hyperplane", "clock-shift", "gamma",
                                     "block-mf", "cyclic"])
     _ring_args(p)
-    p.add_argument("--f", help="form (hyperplane, clock-shift via root scan)")
+    p.add_argument("--f", help="form (hyperplane, clock-shift via its roots)")
     p.add_argument("--roots", help="comma-separated roots for clock-shift")
     p.add_argument("--coeffs", help="comma-separated diagonal coefficients for gamma")
     p.add_argument("--input", help="JSON document for block-mf / cyclic")

@@ -325,14 +325,20 @@ def _check_compatible(rep1: CliffordRep, rep2: CliffordRep):
         raise InputError("representations have different degrees d")
 
 
+def _intertwiner_dim(rep1: CliffordRep, rep2: CliffordRep,
+                     max_base_degree: int = 0) -> int:
+    """The length of ``intertwiner_basis``: unknowns minus the system's rank."""
+    rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
+    return len(unknowns) - linalg.rank_field_matrix(rep1.ring.field, rows)
+
+
 def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
     """Dimension of {theta : theta*A1_i = A2_i*theta for all i}."""
     _check_compatible(rep1, rep2)
     if rep1.ring.base_count:
         raise UnsupportedBase("hom spaces are computed over a plain field; "
                               "specialize the base first")
-    rows, unknowns = intertwiner_system(rep1, rep2)
-    return len(unknowns) - linalg.rank_field_matrix(rep1.ring.field, rows)
+    return _intertwiner_dim(rep1, rep2)
 
 
 @dataclass(frozen=True)
@@ -414,9 +420,8 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     if rep1.size != rep2.size:
         return EquivalenceResult("inequivalent", reason="size mismatch")
     basis_12 = intertwiner_basis(rep1, rep2, max_base_degree)
-    basis_21 = intertwiner_basis(rep2, rep1, max_base_degree)
-    dims = (len(basis_12), len(basis_21))
-    if not basis_12 or not basis_21:
+    dims = (len(basis_12), _intertwiner_dim(rep2, rep1, max_base_degree))
+    if not all(dims):
         ring = rep1.ring
         if not ring.base_count:
             return EquivalenceResult(

@@ -14,7 +14,7 @@ from .clifford import (CliffordRep, _require_relation, equivalence_test,
                        verify_relation)
 from .errors import (GammaConstructionError, InputError, InternalInconsistency,
                      NondiagonalInput, RotationMismatch)
-from .fields import Field
+from .fields import Field, gf_divmod, gf_roots
 from .pencil import LinearPencil, MFPair, extract, fiber_keys
 from .poly import Poly, PolyRing
 from .polymat import PolyMatrix, mat_shape
@@ -69,18 +69,18 @@ def _expand_split(ring: PolyRing, roots) -> Poly:
     return out
 
 
-def split_binary_roots(f: Poly, max_prime: int = 10 ** 4) -> list:
-    """Roots c_j of a fully split monic binary form over GF(p), by scan.
+def split_binary_roots(f: Poly) -> list:
+    """Roots c_j of a fully split monic binary form f = prod_j (y0 + c_j*y1)
+    over GF(p), ascending, each repeated by its multiplicity.
 
-    Helper for accepting forms rather than root lists; p <= 10^4 keeps the
-    exhaustive scan honest.
+    y0 + c*y1 divides f exactly when c is a root of P(c) = f(-c, 1), with
+    the same multiplicity: ``gf_roots`` finds the distinct roots of P and
+    division by c - root counts each one.
     """
     ring = f.ring
     field = ring.field
     if field.kind != "GF":
-        raise InputError("root scanning is supported over prime fields only")
-    if field.p > max_prime:
-        raise InputError(f"root scan limited to p <= {max_prime}")
+        raise InputError("root finding is supported over prime fields only")
     if ring.fiber_count != 2 or f.has_base_vars():
         raise InputError("expected a binary form in y0, y1")
     d = f.y_degree()
@@ -88,13 +88,15 @@ def split_binary_roots(f: Poly, max_prime: int = 10 ** 4) -> list:
     lead = f.terms.get((d, 0) + (0,) * ring.base_count)
     if lead != field.one:
         raise InputError("binary form must be monic in y0")
+    p = field.p
+    remaining = [0] * (d + 1)
+    for exp, c in f.terms.items():
+        remaining[exp[0]] = -c % p if exp[0] % 2 else c
     roots = []
-    remaining = f
-    for x in range(field.p):
-        linear = ring.var("y0") + ring.var("y1").scale(x)
-        while len(roots) < d:
-            quotient = remaining.exact_div(linear)
-            if quotient is None:
+    for x in gf_roots(remaining, p):
+        while True:
+            quotient, rest = gf_divmod(remaining, [-x % p, 1], p)
+            if rest:
                 break
             roots.append(x)
             remaining = quotient

@@ -2,10 +2,12 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 canonical residues ``0 <= x < p`` (ints) over GF(p).  Every operation is
-exact; nothing in this package touches floating point.
+exact; nothing in this package touches floating point.  Dense univariate
+polynomials over GF(p) get division and root finding (``gf_roots``).
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -204,6 +206,101 @@ def _tonelli_shanks(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+# -- univariate polynomials over GF(p) -----------------------------------------
+#
+# Dense lists of residues, lowest degree first, with no trailing zeros: [] is
+# the zero polynomial.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b in GF(p)[x]."""
+    rem, top = a[:], len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(a) - top, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + top] * inv % p
+        if c:
+            for j, x in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * x) % p
+    return _trim(quo), _trim(rem[:top])
+
+
+def _mulmod(a: list, b: list, g: list, p: int) -> list:
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return gf_divmod([c % p for c in prod], g, p)[1]
+
+
+def _powmod(a: list, e: int, g: list, p: int) -> list:
+    """a^e mod g by square-and-multiply, for g of degree >= 1."""
+    out, a = [1], gf_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, g, p)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, g, p)
+    return out
+
+
+def _minus_monomial(a: list, k: int, p: int) -> list:
+    """a - x^k."""
+    out = a + [0] * (k + 1 - len(a))
+    out[k] = (out[k] - 1) % p
+    return _trim(out)
+
+
+def _monic_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def gf_roots(coeffs: list, p: int) -> list[int] | range:
+    """The distinct roots in GF(p) of sum_i coeffs[i] x^i, ascending.
+
+    The zero polynomial vanishes everywhere: it gets range(p), not a list
+    of p elements.  Otherwise gcd(g, x^p - x) is
+    the product of x - c over the roots c, and Cantor-Zassenhaus splits it:
+    for a random a, gcd(h, (x + a)^((p-1)/2) - 1) keeps the roots with
+    c + a a nonzero square, about half of them.  The cost grows with
+    log p, not with p.  The draws of a come from a private generator and
+    the result is sorted, so it shows no trace of them.
+    """
+    g = _trim([c % p for c in coeffs])
+    if not g:
+        return range(p)
+    if p == 2:  # (p - 1)/2 = 0 would split nothing
+        return [x for x, value in ((0, g[0]), (1, sum(g) % 2)) if not value]
+    if len(g) == 1:
+        return []
+    pending = [_monic_gcd(g, _minus_monomial(_powmod([0, 1], p, g, p), 1, p), p)]
+    rng = random.Random(p)
+    roots = []
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            while True:
+                a = rng.randrange(p)
+                d = _monic_gcd(h, _minus_monomial(
+                    _powmod([a, 1], (p - 1) // 2, h, p), 0, p), p)
+                if 1 < len(d) < len(h):
+                    break
+            pending += [d, gf_divmod(h, d, p)[0]]
+    return sorted(roots)
 
 
 _QQ = Field("QQ")

@@ -20,7 +20,7 @@ from .clifford import (CliffordRep, det_factorization, probe_points,
                        specialize_rep, verify_relation)
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
-from .fields import prime_field
+from .fields import gf_roots, prime_field
 from .pencil import LinearPencil, assemble, extract, mf_verify, pencil_at
 from .poly import Poly, PolyRing
 from .polymat import PolyMatrix, adjugate, mat_shape, poly_matrix_det
@@ -149,16 +149,29 @@ def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
     return reduced
 
 
+def _term_at(exp: tuple, c: int, values: list, p: int) -> int:
+    for v, e in zip(values, exp):
+        if e:
+            c = c * pow(v, e, p) % p
+    return c
+
+
+def _at(terms: list, values: list, p: int) -> int:
+    """A polynomial given by its (exponents, coefficient) terms, at a point mod p."""
+    return sum(_term_at(exp, c, values, p) for exp, c in terms) % p
+
+
 def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
                     off_target: int = 20, seed: int = 0,
                     max_tries: int = 20000) -> CorankSummary:
     """Sample fiber points: corank must be 0 off f = 0 and r at smooth points.
 
     On-hypersurface points come from univariate slices: fix all but one
-    coordinate at random and scan the free one for roots of f.  Points where
-    the gradient of f vanishes are recorded as singular and exempt from the
-    corank assertion.  With one fiber variable V(f) is empty, which raises
-    at once the InputError an exhausted budget raises.
+    coordinate at random and visit the roots of f in the free one, in
+    ascending order, found by ``gf_roots`` on the dense slice polynomial.
+    Points where the gradient of f vanishes are recorded as singular and
+    exempt from the corank assertion.  With one fiber variable V(f) is
+    empty, which raises at once the InputError an exhausted budget raises.
     """
     if rep.ring.base_count:
         raise UnsupportedBase("specialize the base before sampling coranks")
@@ -171,18 +184,18 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
         raise InputError("found no points on the hypersurface within the budget")
     field = rep.ring.field
     p = field.p
-    ring = rep.ring
-    names = ring.names[:ring.fiber_count]
+    n = rep.ring.fiber_count
     r = rep.clifford_index
     t = rep.size
     # entry (i, j) of every A_k side by side, so M(point) = sum_k point_k A_k
     stacks = [list(zip(*rows)) for rows in zip(*rep.scalar_matrices())]
-    gradient = [rep.f.derivative(name) for name in names]
+    f_terms = list(rep.f.terms.items())
+    gradient = [[(exp[:i] + (exp[i] - 1,) + exp[i + 1:], c * exp[i] % p)
+                 for exp, c in f_terms if exp[i]] for i in range(n)]
     rng = random.Random(seed)
     summary = CorankSummary(prime=p, seed=seed, expected_corank=r)
 
-    def corank_at(point: dict) -> int:
-        values = [point[name] for name in names]
+    def corank_at(values: list) -> int:
         scalar = [[sum(map(mul, values, entry)) % p for entry in row]
                   for row in stacks]
         return t - linalg.rank(field, scalar)
@@ -190,37 +203,35 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
     tries = 0
     while summary.off_points < off_target and tries < max_tries:
         tries += 1
-        point = {name: rng.randrange(p) for name in names}
-        if rep.f.evaluate(point).constant() == 0:
+        point = [rng.randrange(p) for _ in range(n)]
+        if _at(f_terms, point, p) == 0:
             continue
         summary.off_points += 1
         got = corank_at(point)
         if got == 0:
             summary.off_corank_zero += 1
         else:
-            summary.violations.append((tuple(point[n] for n in names), got, 0))
+            summary.violations.append((tuple(point), got, 0))
     while summary.on_smooth < on_target and tries < max_tries:
         tries += 1
-        free = rng.randrange(len(names))
-        fixed = {name: rng.randrange(p) for i, name in enumerate(names) if i != free}
-        slice_poly = rep.f.evaluate(fixed)
-        free_name = names[free]
-        for x in range(p):
-            if not slice_poly.evaluate({free_name: x}).is_zero():
-                continue
-            point = dict(fixed)
-            point[free_name] = x
-            if not any(point.values()):
+        free = rng.randrange(n)
+        # a 1 in the free slot makes each term's value its slice coefficient
+        point = [1 if i == free else rng.randrange(p) for i in range(n)]
+        slice_poly = [0] * (rep.d + 1)
+        for exp, c in f_terms:
+            slice_poly[exp[free]] += _term_at(exp, c, point, p)
+        for x in gf_roots(slice_poly, p):
+            point[free] = x
+            if not any(point):
                 continue  # the zero vector is no projective point
             summary.on_points += 1
-            smooth = any(not g.evaluate(point).constant() == 0 for g in gradient)
+            smooth = any(_at(g, point, p) for g in gradient)
             got = corank_at(point)
             summary.corank_histogram[got] = summary.corank_histogram.get(got, 0) + 1
             if smooth:
                 summary.on_smooth += 1
                 if got != r:
-                    summary.violations.append(
-                        (tuple(point[n] for n in names), got, r))
+                    summary.violations.append((tuple(point), got, r))
             else:
                 summary.on_singular += 1
             if summary.on_smooth >= on_target:

@@ -93,3 +93,17 @@ def det_calls(monkeypatch):
     for module in (polymat, clifford, ulrich):
         monkeypatch.setattr(module, "poly_matrix_det", counting)
     return sizes
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """One entry per ``Poly.evaluate`` call."""
+    calls = []
+    original = cr.Poly.evaluate
+
+    def counting(self, assignment):
+        calls.append(1)
+        return original(self, assignment)
+
+    monkeypatch.setattr(cr.Poly, "evaluate", counting)
+    return calls

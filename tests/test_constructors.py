@@ -100,6 +100,15 @@ def test_split_binary_roots_scan():
         cr.split_binary_roots(cr.parse_poly("y0^2 + y1^2", ring))  # -1 not square mod 7
 
 
+def test_split_binary_roots_large_prime():
+    # no cap on p: the roots come from gcds, not from a scan of GF(p)
+    ring = cr.PolyRing(cr.prime_field(1000003), 0, 2)
+    form = cr.SplitBinaryForm.from_roots(ring, [999983, 5, 0, 5])
+    assert cr.split_binary_roots(form.f) == [0, 5, 5, 999983]
+    with pytest.raises(InputError):
+        cr.split_binary_roots(cr.parse_poly("y0^2 + y1^2", ring))  # -1 not a square
+
+
 # -- gamma quadrics ------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffrep.errors import CoefficientNotInField, FieldError
-from cliffrep.fields import (MAX_PRIME, is_prime, parse_field, prime_field,
-                             rationals)
+from cliffrep.fields import (MAX_PRIME, gf_divmod, gf_roots, is_prime,
+                             parse_field, prime_field, rationals)
 
 
 def test_prime_validation():
@@ -94,3 +95,59 @@ def test_parse_field():
     for bad in ("RR", "GF(6)", "GF(x)", "GF13"):
         with pytest.raises(FieldError):
             parse_field(bad)
+
+
+# -- roots of univariate polynomials over GF(p) -----------------------------------
+
+
+def brute_force_roots(coeffs, p):
+    return [x for x in range(p)
+            if sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0]
+
+
+def times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def test_gf_roots_edge_cases():
+    for p in (2, 3, 5, 7, 101):
+        assert gf_roots([], p) == gf_roots([0, 0, p], p) == range(p)
+        assert gf_roots([1], p) == gf_roots([p - 1, 0, 0], p) == []
+        for a in range(min(p, 5)):
+            square = times([-a % p, 1], [-a % p, 1], p)  # (x - a)^2
+            assert gf_roots(square, p) == [a]
+        # x^p - x vanishes everywhere, and has degree p
+        assert gf_roots([0, p - 1] + [0] * (p - 2) + [1], p) == list(range(p))
+    # (x - 3)(x - 17)(x - 999983) over a prime near 10^6
+    p = 1000003
+    cubic = times(times([p - 3, 1], [p - 17, 1], p), [p - 999983, 1], p)
+    assert gf_roots(cubic, p) == [3, 17, 999983]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 101]),
+       kind=st.sampled_from(["dense", "product", "vanishing-factor"]))
+def test_gf_roots_match_brute_force(data, p, kind):
+    residues = st.integers(-p, 2 * p)
+    if kind == "dense":  # includes the zero polynomial and constants
+        coeffs = data.draw(st.lists(residues, max_size=9))
+    elif kind == "product":  # c * prod (x - a_j), repeated roots allowed
+        coeffs = [data.draw(st.integers(1, p - 1))]
+        for a in data.draw(st.lists(st.integers(0, p - 1), max_size=7)):
+            coeffs = times(coeffs, [-a % p, 1], p)
+    else:  # (x^p - x) * g: degree >= p
+        factor = data.draw(st.lists(residues, min_size=1, max_size=4))
+        coeffs = times([0, p - 1] + [0] * (p - 2) + [1], [c % p for c in factor], p)
+    assert list(gf_roots(coeffs, p)) == brute_force_roots(coeffs, p)
+
+
+def test_gf_divmod():
+    p = 7
+    assert gf_divmod(times([3, 1], [2, 5, 1], p), [2, 5, 1], p) == ([3, 1], [])
+    # 5x^3 + 3x^2 + 2x + 1 = (5x^2 + 6x) (x + 5) + 1
+    assert gf_divmod([1, 2, 3, 5], [5, 1], p) == ([0, 6, 5], [1])
+    assert gf_divmod([1, 2], [0, 0, 3], p) == ([], [1, 2])

@@ -119,6 +119,62 @@ def test_corank_deterministic(block_rep_qq):
     assert a == b
 
 
+def pinned_sampling(name):
+    qq = cr.rationals()
+    if name == "clock_10007":
+        return cr.corank_sampling(clock_rep(cr.prime_field(10007), [5, 1234, 9876]),
+                                  prime=10007, seed=0)
+    if name == "block_qq_1009":
+        return cr.corank_sampling(block_quadric_rep(qq), prime=1009, seed=0)
+    if name == "gamma4_101":
+        ring = cr.PolyRing(cr.prime_field(101), 0, 4)
+        return cr.corank_sampling(cr.gamma_quadric_rep(ring, [1, 2, 3, 4]),
+                                  prime=101, seed=0)
+    return cr.corank_sampling(clock_rep(qq, [1, 1]), max_tries=200)
+
+
+# Recorded while slices were solved by scanning all of GF(p): finding their
+# roots by gcds must leave the seeded draws, the points and their order alone.
+PINNED_PAYLOADS = {
+    "clock_10007": {
+        "prime": 10007, "seed": 0, "expected_corank": 1, "off_points": 20,
+        "off_corank_zero": 20, "on_points": 20, "on_smooth": 20, "on_singular": 0,
+        "corank_histogram": {"1": 20}, "violations": []},
+    "block_qq_1009": {
+        "prime": 1009, "seed": 0, "expected_corank": 2, "off_points": 20,
+        "off_corank_zero": 20, "on_points": 20, "on_smooth": 20, "on_singular": 0,
+        "corank_histogram": {"2": 20}, "violations": []},
+    "gamma4_101": {
+        "prime": 101, "seed": 0, "expected_corank": 2, "off_points": 20,
+        "off_corank_zero": 20, "on_points": 20, "on_smooth": 20, "on_singular": 0,
+        "corank_histogram": {"2": 20}, "violations": []},
+    "nonreduced_qq": {
+        "prime": 101, "seed": 0, "expected_corank": 1, "off_points": 20,
+        "off_corank_zero": 20, "on_points": 178, "on_smooth": 0,
+        "on_singular": 178, "corank_histogram": {"2": 178}, "violations": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
+def test_corank_payload_pinned(name):
+    assert pinned_sampling(name).to_payload() == PINNED_PAYLOADS[name]
+
+
+def test_corank_sampling_evaluates_no_polys(evaluate_calls):
+    assert pinned_sampling("clock_10007").on_smooth == 20
+    # a scan of GF(10007) on every slice made 64,654 calls here
+    assert len(evaluate_calls) < 1000
+
+
+def test_corank_clock_cubic_large_prime():
+    p = 1000003
+    summary = cr.corank_sampling(clock_rep(cr.prime_field(p), [3, 17, 999983]),
+                                 prime=p, seed=0)
+    assert summary.on_smooth == 20 and summary.off_ok
+    assert not summary.violations
+    assert summary.corank_histogram == {1: 20}
+
+
 # -- Fitting exponent --------------------------------------------------------------
 
 

@@ -240,7 +240,11 @@ def cmd_search(args) -> int:
                         metadata={"label": label, "seed": args.seed,
                                   "provenance": "random_search"})
     if not hits:
-        report.add("search", FAIL, {"reason": "no representations found"})
+        report.add("search", INCONCLUSIVE,
+                   {"budget": args.budget,
+                    "reason": f"no representation among {args.budget} seeded "
+                              "samples; a random sample proves nothing about "
+                              "absence"})
     return _emit(report.finalize(), args.json)
 
 

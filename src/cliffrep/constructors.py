@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .clifford import (CliffordRep, _require_relation, equivalence_test,
                        verify_relation)
@@ -319,14 +321,61 @@ class SearchHit:
     maybe_duplicate: bool  # equivalence with an earlier hit came back inconclusive
 
 
+# Drawn entries per screened block: a fixed bound on the screen's memory.
+_BLOCK_ENTRIES = 1 << 13
+
+
+class _RandrangeStream:
+    """The values that successive ``rng.randrange(p)`` calls would return,
+    read in bulk for any p >= 2.
+
+    CPython's ``randrange(p)`` is ``getrandbits(k)`` with k = p.bit_length(),
+    redrawn while the value is >= p, and ``getrandbits(k)`` takes
+    w = ceil(k/32) Mersenne Twister words, least significant first, keeping
+    the top bits of the last.  One ``getrandbits(32*w*m)`` call therefore
+    holds m such draws in order.  Accepted values beyond a request carry
+    into the next one, so the stream never skips a value.
+    """
+
+    def __init__(self, rng: random.Random, p: int):
+        self._rng, self._p = rng, p
+        self._k = p.bit_length()
+        self._w = -(-self._k // 32)
+        self._carry = np.empty(0, dtype=linalg.modp_dtype(p))
+
+    def take(self, count: int) -> np.ndarray:
+        p, k, w = self._p, self._k, self._w
+        parts = [self._carry]
+        have = len(self._carry)
+        while have < count:
+            # expected draws for the shortfall (acceptance is p / 2^k >= 1/2)
+            m = -(-((count - have) << k) // p)
+            words = np.frombuffer(
+                self._rng.getrandbits(32 * w * m).to_bytes(4 * w * m, "little"),
+                dtype="<u4").reshape(m, w)
+            values = (words[:, -1] >> (32 * w - k)).astype(
+                np.int64 if w == 1 else object)
+            for j in range(w - 2, -1, -1):
+                values = values << 32 | words[:, j].astype(object)
+            values = values[values < p].astype(self._carry.dtype)
+            parts.append(values)
+            have += len(values)
+        stream = np.concatenate(parts)
+        self._carry = stream[count:]
+        return stream[:count]
+
+
 def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
                   budget: int, equivalence_trials: int = 64) -> list[SearchHit]:
     """Sample random pencils over GF(p), keep relation hits, dedupe by equivalence.
 
-    Candidates failing the cheap necessary conditions A_i^d = f(e_i)*I are
-    rejected before any symbolic work: each power is compared with the
-    scalar matrices f(e_i)*I, built once before sampling.  Deterministic for
-    a fixed seed.
+    Candidates are screened in blocks of a fixed number of drawn entries:
+    one batched ``linalg.modp_mat_pow`` per block keeps those with every
+    A_i^d = f(e_i)*I, a necessary condition, before any symbolic work.  The
+    entries are the values ``random.Random(seed).randrange(p)`` would give
+    one at a time (see ``_RandrangeStream``), so a seed draws the same
+    candidates, and survivors are checked and deduped in sample order:
+    hits, sample indices and counts do not depend on the block size.
     """
     field = ring.field
     if field.kind != "GF":
@@ -339,40 +388,38 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
         raise InputError("search forms must be base-free")
     p = field.p
     nfib = ring.fiber_count
-    targets = []
+    scalars = []
     for i in range(nfib):
         point = {name: 0 for name in ring.names[:nfib]}
         point[ring.names[i]] = 1
-        value = f.evaluate(point).constant()
-        targets.append([[value if r == c else 0 for c in range(t)]
-                        for r in range(t)])
-    rng = random.Random(seed)
+        scalars.append(f.evaluate(point).constant())
+    targets = np.array([[[c if r == k else 0 for k in range(t)] for r in range(t)]
+                        for c in scalars], dtype=linalg.modp_dtype(p))
+    stream = _RandrangeStream(random.Random(seed), p)
+    block = max(1, _BLOCK_ENTRIES // (nfib * t * t))
     hits: list[list] = []  # [rep, sample_index, count, maybe_duplicate]
-    for sample in range(budget):
-        mats = [[[rng.randrange(p) for _ in range(t)] for _ in range(t)]
-                for _ in range(nfib)]
-        ok = True
-        for m, target in zip(mats, targets):
-            if linalg.modp_mat_pow(m, d, p) != target:
-                ok = False
-                break
-        if not ok:
-            continue
-        pencil = LinearPencil.from_coefficients(ring, t, dict(zip(fiber_keys(ring), mats)))
-        rep = CliffordRep(pencil, f, d)
-        if not verify_relation(rep).passed:
-            continue
-        matched = False
-        duplicate_flag = False
-        for entry in hits:
-            result = equivalence_test(entry[0], rep, seed=seed + sample + 1,
-                                      trials=equivalence_trials)
-            if result.verdict == "equivalent":
-                entry[2] += 1
-                matched = True
-                break
-            if result.verdict == "inconclusive":
-                duplicate_flag = True
-        if not matched:
-            hits.append([rep, sample, 1, duplicate_flag])
+    for start in range(0, budget, block):
+        size = min(block, budget - start)
+        mats = stream.take(size * nfib * t * t).reshape(size, nfib, t, t)
+        powers = linalg.modp_mat_pow(mats, d, p)
+        for offset in np.flatnonzero((powers == targets).all(axis=(1, 2, 3))):
+            sample = start + int(offset)
+            pencil = LinearPencil.from_coefficients(
+                ring, t, dict(zip(fiber_keys(ring), mats[offset].tolist())))
+            rep = CliffordRep(pencil, f, d)
+            if not verify_relation(rep).passed:
+                continue
+            matched = False
+            duplicate_flag = False
+            for entry in hits:
+                result = equivalence_test(entry[0], rep, seed=seed + sample + 1,
+                                          trials=equivalence_trials)
+                if result.verdict == "equivalent":
+                    entry[2] += 1
+                    matched = True
+                    break
+                if result.verdict == "inconclusive":
+                    duplicate_flag = True
+            if not matched:
+                hits.append([rep, sample, 1, duplicate_flag])
     return [SearchHit(rep, idx, count, flag) for rep, idx, count, flag in hits]

@@ -6,6 +6,10 @@ residues over GF(p)).  Prime fields with p < 2^31 get a vectorized numpy
 mod-p elimination; everything else runs the generic exact path.  Integer
 matrices destined for QQ ranks use a mod-p certificate with a fraction-free
 integer fallback, so results are exact in every case.
+
+The one exception to lists is ``modp_mat_pow``, a batched power over integer
+arrays of shape (..., t, t) in ``modp_dtype(p)``: int64 below 2^31, Python
+ints in an object array above.
 """
 from __future__ import annotations
 
@@ -15,9 +19,14 @@ from operator import mul
 import numpy as np
 
 from .errors import InternalInconsistency
-from .fields import Field, prime_field
+from .fields import Field
 
 _NP_LIMIT = 1 << 31  # products must fit in int64
+
+
+def modp_dtype(p: int):
+    """Array dtype for residues mod p whose pairwise products stay exact."""
+    return np.int64 if p < _NP_LIMIT else object
 
 
 def _use_numpy(field: Field, rows: int, cols: int) -> bool:
@@ -167,12 +176,19 @@ def mat_mul(field: Field, a: list, b: list) -> list:
              for col in cols] for row in a]
 
 
-def modp_mat_pow(a: list, d: int, p: int) -> list:
-    """a^d over GF(p) for d >= 1, with a given as plain ints."""
-    field = prime_field(p)
+def modp_mat_pow(a: np.ndarray, d: int, p: int) -> np.ndarray:
+    """a^d over GF(p) for d >= 1, batched over the leading axes of an integer
+    array of shape (..., t, t) with entries in [0, p).
+
+    Below ``_NP_LIMIT`` the entries are int64 and every product is reduced
+    mod p before the t-term sum, so nothing overflows; larger p pass an
+    object array of Python ints through the same code.  Kept by this name
+    because the benchmark tracer wraps it.
+    """
+    a = np.asarray(a, dtype=modp_dtype(p))
     out = a
     for _ in range(d - 1):
-        out = mat_mul(field, out, a)
+        out = (out[..., :, :, None] * a[..., None, :, :] % p).sum(axis=-2) % p
     return out
 
 

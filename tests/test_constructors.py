@@ -1,11 +1,18 @@
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
-from cliffrep.constructors import gamma_generators, solve_norm_equation
+from cliffrep import constructors
+from cliffrep.constructors import (_BLOCK_ENTRIES, _RandrangeStream,
+                                   gamma_generators, solve_norm_equation)
 from cliffrep.errors import (GammaConstructionError, InputError,
                              NondiagonalInput, NotHomogeneous,
                              RotationMismatch)
 from cliffrep import linalg
+from cliffrep.pencil import fiber_keys
 from conftest import clock_rep, paper_f, paper_phi, quadric_ring
 
 
@@ -295,3 +302,83 @@ def test_random_search_deterministic():
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert a.rep == b.rep and a.count == b.count
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 4, 5, 8, 101, 2**31 - 1, 2**32 - 5, 2**32 + 15,
+                          2**61 - 1, 2**89 - 1]),
+       seed=st.integers(0, 2**32),
+       counts=st.lists(st.integers(0, _BLOCK_ENTRIES + 1), min_size=1, max_size=4))
+def test_randrange_stream_matches_randrange(p, seed, counts):
+    # successive takes cross refills, so accepted values must carry over
+    stream = _RandrangeStream(random.Random(seed), p)
+    got = [x for count in counts for x in stream.take(count).tolist()]
+    rng = random.Random(seed)
+    assert got == [rng.randrange(p) for _ in range(sum(counts))]
+    assert all(type(x) is int for x in got)
+
+
+# (p, fiber variables, f, d, t, seed, budget) -> hits of the one-at-a-time
+# randrange search: (A_0, ..., A_n), sample_index, count, maybe_duplicate
+SEARCH_PINS = [
+    ((3, 2, "y0^2 - y1^2", 2, 2, 5, 3001),
+     [((((1, 1), (0, 2)), ((1, 1), (1, 2))), 11, 19, False)]),
+    ((3, 2, "y0^2 - y1^2", 2, 2, 7, 3001),
+     [((((0, 1), (1, 0)), ((0, 1), (2, 0))), 258, 16, False)]),
+    ((3, 3, "y0^2 + y1^2 - y2^2", 2, 2, 1, 30001),
+     [((((2, 1), (0, 1)), ((1, 0), (2, 2)), ((2, 1), (1, 1))), 9761, 2, False),
+      ((((2, 2), (0, 1)), ((2, 0), (2, 1)), ((2, 2), (2, 1))), 28140, 1, False)]),
+    ((2, 2, "y0^3 + y1^3", 3, 3, 4, 3000),
+     [((((1, 0, 1), (0, 1, 1), (0, 1, 0)), ((1, 0, 0), (1, 1, 1), (0, 1, 0))),
+       918, 1, False),
+      ((((0, 0, 1), (0, 1, 0), (1, 0, 1)), ((0, 1, 1), (0, 0, 1), (1, 1, 0))),
+       1933, 2, False)]),
+    ((5, 2, "y0^2 - 2*y1^2", 2, 4, 1, 600), []),
+]
+
+
+def _search_pins(case):
+    p, nfib, form, d, t, seed, budget = case
+    ring = cr.PolyRing(cr.prime_field(p), 0, nfib)
+    hits = cr.random_search(ring, cr.parse_poly(form, ring), d, t,
+                            seed=seed, budget=budget)
+    return [(tuple(h.rep.pencil.coefficients[key] for key in fiber_keys(ring)),
+             h.sample_index, h.count, h.maybe_duplicate) for h in hits]
+
+
+@pytest.mark.parametrize("case,expected", SEARCH_PINS)
+def test_random_search_pinned(case, expected):
+    assert _search_pins(case) == expected
+
+
+def test_random_search_independent_of_block_size(monkeypatch):
+    # tiny blocks put many block boundaries inside the pinned runs
+    monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", 36)
+    for case, expected in SEARCH_PINS[:2] + SEARCH_PINS[3:4]:
+        assert _search_pins(case) == expected
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_random_search_large_prime(p):
+    ring = cr.PolyRing(cr.prime_field(p), 0, 2)
+    f = cr.parse_poly("y0^2 - y1^2", ring)
+    assert cr.random_search(ring, f, 2, 2, seed=3, budget=1500) == []
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, 2**61 - 1])
+def test_modp_mat_pow_matches_mat_mul(p):
+    field = cr.prime_field(p)
+    rng = random.Random(p)
+    mats = [[[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+            for _ in range(4)]
+    mats.append([[p - 1] * 3] * 3)  # the sum of unreduced products overflows int64
+    for d in (1, 2, 3, 5):
+        expected = []
+        for m in mats:
+            power = m
+            for _ in range(d - 1):
+                power = linalg.mat_mul(field, power, m)
+            expected.append(power)
+        got = linalg.modp_mat_pow(np.array(mats, dtype=object), d, p)
+        assert got.tolist() == expected
+        assert got.dtype == (np.int64 if p < 2**31 else object)

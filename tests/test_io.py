@@ -201,11 +201,16 @@ def test_cli_search(tmp_path, capsys):
     assert written and written[0].endswith(".pencil")
     hit, _ = cr.read_pencil(str(out_dir / written[0]))
     assert cr.verify_relation(hit).passed
-    # empty search fails
+    # a search without hits is inconclusive: a seeded sample proves no absence
     assert cli_dispatch(["search", "--field", "GF(3)", "--fiber-vars", "2",
                          "--f", "y0^2 - y1^2", "--d", "2", "--t", "2",
-                         "--seed", "5", "--budget", "0"]) == 1
-    capsys.readouterr()
+                         "--seed", "5", "--budget", "0", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["checks"] == [{
+        "name": "search", "status": "inconclusive",
+        "witness": {"budget": 0, "reason": "no representation among 0 seeded "
+                    "samples; a random sample proves nothing about absence"}}]
 
 
 def test_cli_construct(tmp_path, capsys):

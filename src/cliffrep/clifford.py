@@ -329,7 +329,7 @@ def _intertwiner_dim(rep1: CliffordRep, rep2: CliffordRep,
                      max_base_degree: int = 0) -> int:
     """The length of ``intertwiner_basis``: unknowns minus the system's rank."""
     rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
-    return len(unknowns) - linalg.rank_field_matrix(rep1.ring.field, rows)
+    return len(unknowns) - linalg.rank(rep1.ring.field, rows)
 
 
 def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
@@ -357,18 +357,23 @@ def _is_unit_matrix(theta: PolyMatrix) -> bool:
     if all(x.is_constant() for row in theta for x in row):
         field = theta[0][0].ring.field
         values = [[x.constant() for x in row] for row in theta]
-        return linalg.rank_field_matrix(field, values) == len(theta)
+        return linalg.rank(field, values) == len(theta)
     d = poly_matrix_det(theta)  # only entries in the base variables need it
     return (not d.is_zero()) and d.is_constant()
 
 
-def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int,
-                       exhaustive_dim: int = 3, exhaustive_p: int = 13):
+# _search_invertible enumerates the whole span up to this dimension and p
+_EXHAUSTIVE_DIM = 3
+_EXHAUSTIVE_P = 13
+
+
+def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int):
     """Look for an invertible element in the span of an intertwiner basis.
 
-    Exhaustive over GF(p) when the space is tiny (dim <= 3, p <= 13), a
-    deterministic singleton check in dimension one, otherwise seeded random
-    combinations.  Returns (theta, trials_used) or (None, trials_used).
+    Exhaustive over GF(p) when the space is tiny (dim <= _EXHAUSTIVE_DIM,
+    p <= _EXHAUSTIVE_P), a deterministic singleton check in dimension one,
+    otherwise seeded random combinations.  Returns (theta, trials_used) or
+    (None, trials_used).
     """
     dim = len(basis)
     ring = basis[0][0][0].ring
@@ -381,7 +386,7 @@ def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int,
     if dim == 1:
         theta = basis[0]
         return (theta if _is_unit_matrix(theta) else None), 1
-    if field.kind == "GF" and dim <= exhaustive_dim and field.p <= exhaustive_p:
+    if field.kind == "GF" and dim <= _EXHAUSTIVE_DIM and field.p <= _EXHAUSTIVE_P:
         count = 0
         for coeffs in itertools.product(range(field.p), repeat=dim):
             if not any(coeffs):

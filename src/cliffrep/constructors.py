@@ -366,7 +366,7 @@ class _RandrangeStream:
 
 
 def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
-                  budget: int, equivalence_trials: int = 64) -> list[SearchHit]:
+                  budget: int) -> list[SearchHit]:
     """Sample random pencils over GF(p), keep relation hits, dedupe by equivalence.
 
     Candidates are screened in blocks of a fixed number of drawn entries:
@@ -412,8 +412,7 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
             matched = False
             duplicate_flag = False
             for entry in hits:
-                result = equivalence_test(entry[0], rep, seed=seed + sample + 1,
-                                          trials=equivalence_trials)
+                result = equivalence_test(entry[0], rep, seed=seed + sample + 1)
                 if result.verdict == "equivalent":
                     entry[2] += 1
                     matched = True

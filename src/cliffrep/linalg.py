@@ -2,10 +2,13 @@
 
 This is the only code that multiplies, powers or eliminates matrices of
 scalars.  Matrices are lists of row lists of scalars (Fractions over QQ,
-residues over GF(p)).  Prime fields with p < 2^31 get a vectorized numpy
-mod-p elimination; everything else runs the generic exact path.  Integer
-matrices destined for QQ ranks use a mod-p certificate with a fraction-free
-integer fallback, so results are exact in every case.
+residues over GF(p)).  One Gauss-Jordan elimination, ``_eliminate``, gives
+the reduced rows, the pivot columns and the signed pivot product, and
+``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` read their answers
+off it.  Its numpy twin ``_rref_modp`` takes over for GF(p) with p < 2^31
+on matrices of more than ``_LIST_MAX_CELLS`` cells, where array set-up no
+longer costs more than the list loop.  There is no separate integer path:
+QQ matrices are eliminated exactly over Fractions.
 
 The one exception to lists is ``modp_mat_pow``, a batched power over integer
 arrays of shape (..., t, t) in ``modp_dtype(p)``: int64 below 2^31, Python
@@ -13,15 +16,15 @@ ints in an object array above.
 """
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 import numpy as np
 
-from .errors import InternalInconsistency
 from .fields import Field
 
 _NP_LIMIT = 1 << 31  # products must fit in int64
+# Measured per rank call at GF(101): lists win up to 8x8, numpy from 16x16.
+_LIST_MAX_CELLS = 64
 
 
 def modp_dtype(p: int):
@@ -29,47 +32,61 @@ def modp_dtype(p: int):
     return np.int64 if p < _NP_LIMIT else object
 
 
-def _use_numpy(field: Field, rows: int, cols: int) -> bool:
-    return field.kind == "GF" and field.p < _NP_LIMIT and rows > 0 and cols > 0
-
-
-def rref(field: Field, mat: list) -> tuple[list, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _reduce(field: Field, mat: list):
+    """(reduced rows, pivot columns, signed pivot product) of mat; the rows
+    are an int64 array when the numpy twin ran, else lists."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if _use_numpy(field, rows, cols):
-        arr, pivots = _rref_modp(np.array(mat, dtype=np.int64), field.p)
-        return arr.tolist(), pivots
-    a = [row[:] for row in mat]
+    if field.kind == "GF" and field.p < _NP_LIMIT and rows * cols > _LIST_MAX_CELLS:
+        return _rref_modp(np.array(mat, dtype=np.int64), field.p)
+    return _eliminate(field, mat)
+
+
+def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
+    """Gauss-Jordan elimination: (reduced rows, pivot columns, signed pivot
+    product).  The product is det(mat) when mat is square of full rank.
+
+    Row updates skip the zero entries of the pivot row: a Fraction product
+    costs far more than the test, and the matrices here are sparse.
+    """
+    p = field.p
+    a = [list(row) for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     pivots = []
-    r = 0
+    product = field.one
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            product = field.neg(product)
+        pivot = a[r][c]
+        product = field.mul(product, pivot)
+        inv = field.inv(pivot)
+        top = a[r] = [field.mul(x, inv) if x else x for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                if p:
+                    a[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
+                else:
+                    a[i] = [x - f * y if y else x for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return a, pivots
+    return a, pivots, product
 
 
-def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """The numpy twin of ``_eliminate`` over GF(p), p < 2^31, on int64 rows."""
     a = a % p
     rows, cols = a.shape
     r = 0
     pivots = []
+    product = 1
     for c in range(cols):
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -77,7 +94,10 @@ def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+            product = -product % p
+        pivot = int(a[r, c])
+        product = product * pivot % p
+        a[r] = a[r] * pow(pivot, p - 2, p) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
@@ -87,26 +107,28 @@ def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == rows:
             break
-    return a, pivots
+    return a, pivots, product
+
+
+def rref(field: Field, mat: list) -> tuple[list, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    reduced, pivots, _ = _reduce(field, mat)
+    if isinstance(reduced, np.ndarray):
+        reduced = reduced.tolist()
+    return reduced, pivots
 
 
 def rank(field: Field, mat: list) -> int:
-    if _use_numpy(field, len(mat), len(mat[0]) if mat else 0):
-        return len(_rref_modp(np.array(mat, dtype=np.int64), field.p)[1])
-    return len(rref(field, mat)[1])
+    return len(_reduce(field, mat)[1])
+
+
+# The benchmark tracer (perfbench/tracer.py) still wraps this name.
+rank_field_matrix = rank
 
 
 def nullspace(field: Field, mat: list) -> list[list]:
     """Canonical right-nullspace basis (one vector per free column)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if not rows or not cols:
-        basis = []
-        for j in range(cols):
-            v = [field.zero] * cols
-            v[j] = field.one
-            basis.append(v)
-        return basis
+    cols = len(mat[0]) if mat else 0
     reduced, pivots = rref(field, mat)
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
@@ -121,29 +143,9 @@ def nullspace(field: Field, mat: list) -> list[list]:
 
 
 def det(field: Field, mat: list):
-    """Determinant by exact Gaussian elimination with division."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    result = field.one
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = field.neg(result)
-        pivot = a[c][c]
-        result = field.mul(result, pivot)
-        inv = field.inv(pivot)
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = field.mul(a[i][c], inv)
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[c])]
-    return result
+    """Determinant of a square matrix: its signed pivot product, or zero."""
+    _, pivots, product = _reduce(field, mat)
+    return product if len(pivots) == len(mat) else field.zero
 
 
 def inv(field: Field, mat: list) -> list | None:
@@ -155,10 +157,6 @@ def inv(field: Field, mat: list) -> list | None:
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
-
-
-def mat_vec(field: Field, mat: list, vec: list) -> list:
-    return [row[0] for row in mat_mul(field, mat, [[v] for v in vec])]
 
 
 def mat_mul(field: Field, a: list, b: list) -> list:
@@ -190,74 +188,3 @@ def modp_mat_pow(a: np.ndarray, d: int, p: int) -> np.ndarray:
     for _ in range(d - 1):
         out = (out[..., :, :, None] * a[..., None, :, :] % p).sum(axis=-2) % p
     return out
-
-
-# -- exact ranks of integer matrices (for rationals) ---------------------------
-
-_CERT_PRIME = (1 << 31) - 1  # Mersenne prime; products fit in int64
-
-
-def rank_int_matrix(mat: list) -> int:
-    """Exact rank over QQ of an integer matrix.
-
-    Fast path: rank mod 2^31-1 via numpy.  Ranks can only drop modulo a
-    prime, so a full mod-p rank is already exact; otherwise fall back to
-    fraction-free integer elimination.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if not rows or not cols:
-        return 0
-    if max(abs(x) for row in mat for x in row) < _CERT_PRIME:
-        modp = len(_rref_modp(np.array(mat, dtype=np.int64), _CERT_PRIME)[1])
-        if modp == min(rows, cols):
-            return modp
-    return _rank_int_bareiss(mat)
-
-
-def _rank_int_bareiss(mat: list) -> int:
-    a = [list(row) for row in mat]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot_val = a[r][c]
-        pr = a[r]
-        for i in range(r + 1, rows):
-            ai = a[i]
-            f = ai[c]
-            for j in range(c + 1, cols):
-                num = pivot_val * ai[j] - f * pr[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalInconsistency(
-                        "fraction-free elimination must divide exactly")
-                ai[j] = q
-            ai[c] = 0
-        prev = pivot_val
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def rank_field_matrix(field: Field, mat: list) -> int:
-    """Rank over the field; integer QQ matrices take the certified fast path."""
-    rows = len(mat)
-    if not rows or not mat[0]:
-        return 0
-    if field.kind == "QQ":
-        scaled = []
-        for row in mat:
-            denom = lcm(*(x.denominator for x in row))
-            scaled.append([int(x * denom) for x in row])
-        return rank_int_matrix(scaled)
-    return rank(field, mat)

@@ -320,7 +320,7 @@ class Poly:
 
     # -- conversion ---------------------------------------------------------
 
-    def map_to(self, ring: PolyRing, var_map: dict[str, str] | None = None) -> "Poly":
+    def map_to(self, ring: PolyRing) -> "Poly":
         """Reinterpret in another ring over the same field, by variable name."""
         if ring.field != self.ring.field:
             raise RingMismatch("target ring has a different field")
@@ -331,14 +331,8 @@ class Poly:
             for i, e in enumerate(exp):
                 if not e:
                     continue
-                name = src[i]
-                if var_map:
-                    name = var_map.get(name, name)
-                new[ring.var_index(name)] = e
-            key = tuple(new)
-            if key in out:
-                raise ValueError("variable map is not injective")
-            out[key] = c
+                new[ring.var_index(src[i])] = e
+            out[tuple(new)] = c
         return Poly(ring, out)
 
     # -- rendering --------------------------------------------------------------

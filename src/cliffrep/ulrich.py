@@ -21,9 +21,9 @@ from .clifford import (CliffordRep, det_factorization, probe_points,
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      UnsupportedBase)
 from .fields import gf_roots, prime_field
-from .pencil import LinearPencil, assemble, extract, mf_verify, pencil_at
+from .pencil import LinearPencil, assemble, extract, pencil_at
 from .poly import Poly, PolyRing
-from .polymat import PolyMatrix, adjugate, mat_shape, poly_matrix_det
+from .polymat import PolyMatrix, mat_shape, poly_matrix_det
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, Report
 
 
@@ -45,7 +45,7 @@ def _det_is_nonzero(pencil: LinearPencil) -> bool:
     """
     field = pencil.ring.field
     for point in probe_points(pencil.ring):
-        if linalg.rank_field_matrix(field, pencil_at(pencil, point)) == pencil.size:
+        if linalg.rank(field, pencil_at(pencil, point)) == pencil.size:
             return True
     return not poly_matrix_det(assemble(pencil)).is_zero()
 
@@ -329,19 +329,18 @@ class UlrichCertificate:
 def _mf_only_probe(rep: CliffordRep) -> bool:
     """Whether M is merely one half of a matrix factorization of f.
 
-    Applies to d = 2: if det(M) = c*f^(t/2) then (M, adj(M)/c') pairs up for
-    2x2 M even when M itself fails the Clifford relation.
+    Applies to t = d = 2.  M*adj(M) = adj(M)*M = det(M)*I over any
+    commutative ring, so (M, adj(M)/c) is a matrix factorization of f
+    exactly when det M = c*f for a nonzero constant c, which
+    ``det_factorization`` decides even when M fails the Clifford relation.
     """
     if rep.d != 2 or rep.size != 2:
         return False
     try:
-        unit = det_factorization(rep, force=True).unit
+        det_factorization(rep, force=True)
     except DivisionFails:
         return False
-    matrix = assemble(rep.pencil)
-    inv_c = rep.ring.field.inv(unit)
-    partner = [[entry.scale(inv_c) for entry in row] for row in adjugate(matrix)]
-    return mf_verify(matrix, partner, rep.f).passed
+    return True
 
 
 def _fiber_checks(rep: CliffordRep, config: CertificateConfig, report: Report,

@@ -208,7 +208,7 @@ def test_criterion_09_irreducibility():
     mats = double.scalar_matrices()
     for vec in result.subspace:  # explicitly invariant: A_i * v stays inside
         for m in mats:
-            image = linalg.mat_vec(QQ, m, vec)
+            image = [x for x, in linalg.mat_mul(QQ, m, [[v] for v in vec])]
             reduced = _reduce_against(QQ, result.subspace, image)
             assert all(x == 0 for x in reduced)
 

@@ -494,7 +494,7 @@ def test_reducible_witness_is_rref_and_invariant():
     assert len(basis) == 4
     assert linalg.rref(field, basis)[0] == basis
     for m in double.scalar_matrices():
-        images = [linalg.mat_vec(field, m, v) for v in basis]
+        images = [list(col) for col in zip(*linalg.mat_mul(field, m, list(zip(*basis))))]
         assert linalg.rank(field, basis + images) == len(basis)
 
 

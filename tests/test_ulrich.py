@@ -241,6 +241,21 @@ def test_certificate_bare_phi_records_mf_only(qq):
     assert relation.witness.get("mf_only") is True
 
 
+def test_certificate_mf_only_needs_det_unit_times_f(qq):
+    # neither matrix squares to f*I; only [[y0, y1], [-y1, y0]] has det = f,
+    # so only it is half of the matrix factorization (M, adj M) of f
+    ring = cr.PolyRing(qq, 0, 2)
+    f = cr.parse_poly("y0^2 + y1^2", ring)
+    for lower, mf_only in (("y1", None), ("-y1", True)):
+        matrix = [[cr.parse_poly(s, ring) for s in row]
+                  for row in (("y0", "y1"), (lower, "y0"))]
+        cert = cr.ulrich_certificate(cr.CliffordRep(cr.extract(matrix), f, 2))
+        relation = next(r for r in cert.report.records
+                        if r.name == "clifford-relation")
+        assert relation.status == "fail"
+        assert relation.witness.get("mf_only") is mf_only
+
+
 def test_certificate_nonreduced_clock(qq):
     rep = clock_rep(qq, [1, 1])
     cert = cr.ulrich_certificate(rep)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -16,8 +17,8 @@ from . import constructors, ulrich
 from .clifford import (det_factorization, equivalence_test,
                        irreducibility_check, specialize_rep, verify_relation)
 from .documents import (dumps_document, load_factors_document,
-                        load_mf_document, pencil_document, read_pencil,
-                        save_pencil)
+                        load_mf_document, load_pencil_document,
+                        pencil_document, read_json, read_pencil, save_pencil)
 from .errors import CliffrepError, InputError
 from .fields import parse_field
 from .parsing import parse_poly
@@ -148,7 +149,7 @@ def cmd_specialize(args) -> int:
 def cmd_ulrich_check(args) -> int:
     config = ulrich.CertificateConfig(max_degree=args.max_degree,
                                       sample_prime=args.prime, seed=args.seed)
-    if args.corpus:
+    if args.corpus is not None:
         return _corpus(args, config)
     rep, digest = read_pencil(args.pencil)
     cert = ulrich.ulrich_certificate(rep, config)
@@ -162,23 +163,20 @@ def _corpus(args, config) -> int:
     for name in sorted(os.listdir(args.corpus)):
         if not name.endswith(".pencil"):
             continue
-        path = os.path.join(args.corpus, name)
         label = name
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+            doc, _ = read_json(os.path.join(args.corpus, name))
             meta = doc.get("metadata") if isinstance(doc, dict) else None
             label = meta.get("label", name) if isinstance(meta, dict) else name
-            rep, _ = read_pencil(path)
-            cert = ulrich.ulrich_certificate(rep, config)
-        except (CliffrepError, json.JSONDecodeError) as exc:
+            cert = ulrich.ulrich_certificate(load_pencil_document(doc), config)
+        except (CliffrepError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             rows.append([label, f"error: {exc}", "", "", "", "", ""])
             worst = max(worst, EXIT_FAIL)
             continue
         by_name = {r.name: r.status for r in cert.report.records}
         rows.append([
             label, cert.report.verdict, cert.size, cert.degree,
-            cert.clifford_index if cert.clifford_index is not None else "",
+            cert.clifford_index,  # csv writes None as an empty field
             by_name.get("hilbert-function", "skipped"),
             by_name.get("corank-sampling", "skipped"),
         ])
@@ -190,6 +188,8 @@ def _corpus(args, config) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.n < 2:
+        raise InputError("need ambient dimension n >= 2")
     twists = [args.j] if args.j is not None else list(range(1, args.n))
     report = Report(subject=f"cohomology n={args.n} d={args.d}")
     all_zero = True
@@ -217,9 +217,7 @@ def cmd_cohomology(args) -> int:
     report.finalize()
     if args.json:
         sys.stdout.write(report.to_json())
-    if args.assert_ulrich:
-        return EXIT_PASS if all_zero else EXIT_FAIL
-    return EXIT_PASS
+    return report.exit_code
 
 
 def cmd_search(args) -> int:
@@ -248,7 +246,15 @@ def cmd_search(args) -> int:
     return _emit(report.finalize(), args.json)
 
 
+# the option each construct kind needs; clock-shift takes --roots or --f
+_CONSTRUCT_NEEDS = {"hyperplane": "f", "gamma": "coeffs", "block-mf": "input",
+                    "cyclic": "input"}
+
+
 def cmd_construct(args) -> int:
+    need = _CONSTRUCT_NEEDS.get(args.kind)
+    if need and getattr(args, need) is None:
+        raise InputError(f"construct {args.kind} needs --{need}")
     if args.kind == "hyperplane":
         ring = _build_ring(args)
         rep = constructors.hyperplane_rep(parse_poly(args.f, ring))
@@ -267,15 +273,11 @@ def cmd_construct(args) -> int:
         ring = PolyRing(parse_field(args.field), args.base_vars, len(coeffs))
         rep = constructors.gamma_quadric_rep(ring, coeffs)
     elif args.kind == "block-mf":
-        with open(args.input, "r", encoding="utf-8") as handle:
-            pair = load_mf_document(json.load(handle))
-        rep = constructors.block_from_mf(pair)
-    elif args.kind == "cyclic":
-        with open(args.input, "r", encoding="utf-8") as handle:
-            factors, f = load_factors_document(json.load(handle))
-        rep = constructors.cyclic_block_rep(factors, f)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown constructor {args.kind}")
+        doc, _ = read_json(args.input)
+        rep = constructors.block_from_mf(load_mf_document(doc))
+    else:  # cyclic, the last of the kinds argparse accepts
+        doc, _ = read_json(args.input)
+        rep = constructors.cyclic_block_rep(*load_factors_document(doc))
     report = Report(subject=f"construct {args.kind}")
     report.add("clifford-relation", PASS,
                {"t": rep.size, "d": rep.d, "r": rep.clifford_index,
@@ -288,53 +290,59 @@ def cmd_construct(args) -> int:
     return _emit(report.finalize(), args.json)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cliffrep",
         description="Exact verification and construction of linear Clifford "
                     "representations and Ulrich-type certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    json_only, json_seed = [as_json], [as_json, seeded]
 
-    p = sub.add_parser("verify", help="check M(y)^d = f*I for a pencil file")
+    p = sub.add_parser("verify", parents=json_only,
+                       help="check M(y)^d = f*I for a pencil file")
     p.add_argument("pencil")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("det", help="factor det M(y) as unit * f^r")
+    p = sub.add_parser("det", parents=json_only, help="factor det M(y) as unit * f^r")
     p.add_argument("pencil")
     p.add_argument("--force", action="store_true",
                    help="factor even if the relation fails")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_det)
 
-    p = sub.add_parser("equiv", help="test two pencils for equivalence")
+    p = sub.add_parser("equiv", parents=json_seed,
+                       help="test two pencils for equivalence")
     p.add_argument("pencil1")
     p.add_argument("pencil2")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=64,
                    help="random invertibility trials")
     p.add_argument("--max-degree", type=int, default=2,
                    help="base-variable degree bound for theta")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_equiv)
 
-    p = sub.add_parser("irreducible", help="irreducibility / invariant subspaces")
+    p = sub.add_parser("irreducible", parents=json_seed,
+                       help="irreducibility / invariant subspaces")
     p.add_argument("pencil")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=24,
                    help="random spin vectors to try")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_irreducible)
 
-    p = sub.add_parser("ulrich-check", help="full certificate for a pencil file")
-    p.add_argument("pencil", nargs="?")
-    p.add_argument("--corpus", help="directory of .pencil files; emits summary CSV")
+    p = sub.add_parser("ulrich-check", parents=json_seed,
+                       help="full certificate for a pencil file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("pencil", nargs="?")
+    source.add_argument("--corpus",
+                        help="directory of .pencil files; emits summary CSV")
     p.add_argument("--prime", type=int, default=101,
                    help="sampling prime for rational pencils")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=6,
                    help="Hilbert function degree cap")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ulrich_check)
 
     p = sub.add_parser("specialize", help="evaluate base variables at scalars")
@@ -343,28 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_specialize)
 
-    p = sub.add_parser("cohomology", help="twisted structure-sheaf cohomology tables")
+    p = sub.add_parser("cohomology", parents=json_only,
+                       help="twisted structure-sheaf cohomology tables")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--d", type=int, required=True, help="hypersurface degree")
     p.add_argument("--j", type=int, help="single twist; default all 1..n-1")
     p.add_argument("--assert-ulrich", action="store_true",
                    help="exit 1 unless every table is zero")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cohomology)
 
-    p = sub.add_parser("search", help="random search for representations over GF(p)")
+    p = sub.add_parser("search", parents=json_seed,
+                       help="random search for representations over GF(p)")
     _ring_args(p)
     p.add_argument("--f", required=True, help="target form")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--out-dir")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("construct", help="canonical constructions")
+    p = sub.add_parser("construct", parents=json_only, help="canonical constructions")
     p.add_argument("kind", choices=["hyperplane", "clock-shift", "gamma",
                                     "block-mf", "cyclic"])
     _ring_args(p)
@@ -373,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", help="comma-separated diagonal coefficients for gamma")
     p.add_argument("--input", help="JSON document for block-mf / cyclic")
     p.add_argument("-o", "--output", help="write the pencil file here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_construct)
     return parser
 
@@ -386,7 +392,7 @@ def cli_dispatch(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliffrepError, OSError, json.JSONDecodeError) as exc:
+    except (CliffrepError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -138,9 +138,6 @@ class DetFactorization:
     unit: object     # nonzero field scalar c
     exponent: int    # r with det M = c * f^r
 
-    def describe(self) -> str:
-        return f"det M(y) = {self.unit} * f^{self.exponent}"
-
 
 # Any points give an exact answer; a constant seed keeps the work the same
 # on every run, whatever seed the caller passes.
@@ -223,6 +220,7 @@ def conjugate(rep: CliffordRep, theta: list) -> CliffordRep:
     if len(theta) != rep.size or any(len(row) != rep.size for row in theta):
         raise ShapeMismatch(f"conjugating matrix must be {rep.size}x{rep.size}")
     field = rep.ring.field
+    theta = [[field.of(x) for x in row] for row in theta]
     theta_inv = linalg.inv(field, theta)
     if theta_inv is None:
         raise InputError("conjugating matrix is singular")

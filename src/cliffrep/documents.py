@@ -104,12 +104,18 @@ def save_pencil(rep: CliffordRep, path: str, metadata: dict | None = None) -> No
         handle.write(dumps_document(pencil_document(rep, metadata)))
 
 
-def read_pencil(path: str) -> tuple[CliffordRep, str]:
-    """Load a .pencil file; returns (rep, sha256 of the raw bytes)."""
+def read_json(path: str) -> tuple[object, bytes]:
+    """(document, raw bytes) of a JSON file; UnicodeDecodeError or
+    json.JSONDecodeError, for the caller to report, if it is not UTF-8 JSON."""
     with open(path, "rb") as handle:
         raw = handle.read()
+    return json.loads(raw.decode("utf-8")), raw
+
+
+def read_pencil(path: str) -> tuple[CliffordRep, str]:
+    """Load a .pencil file; returns (rep, sha256 of the raw bytes)."""
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc, raw = read_json(path)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not a JSON pencil document ({exc})") from exc
     return load_pencil_document(doc), digest_bytes(raw)

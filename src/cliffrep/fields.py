@@ -14,6 +14,7 @@ from math import isqrt
 from .errors import CoefficientNotInField, FieldError
 
 MAX_PRIME = 1 << 61
+_QQ_ONE = Fraction(1)  # so that the inverse of an int over QQ is a Fraction
 
 
 # Miller-Rabin with these bases is exact for every n < 3.18 * 10^23.
@@ -141,7 +142,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.kind == "QQ" else self.inv_int(a)
+        return _QQ_ONE / a if self.kind == "QQ" else self.inv_int(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -54,7 +54,7 @@ def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
-    product = field.one
+    product, zero = field.one, field.zero
     for c in range(cols):
         r = len(pivots)
         pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
@@ -66,7 +66,8 @@ def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
         pivot = a[r][c]
         product = field.mul(product, pivot)
         inv = field.inv(pivot)
-        top = a[r] = [field.mul(x, inv) if x else x for x in a[r]]
+        # a zero becomes the field's own zero, so an int input gives Fraction rows
+        top = a[r] = [field.mul(x, inv) if x else zero for x in a[r]]
         for i, row in enumerate(a):
             f = row[c]
             if f and i != r:

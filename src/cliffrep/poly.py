@@ -269,23 +269,6 @@ class Poly:
                 out.pop(key, None)
         return Poly(ring, out)
 
-    def derivative(self, name: str) -> "Poly":
-        ring = self.ring
-        field = ring.field
-        i = ring.var_index(name)
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if not e:
-                continue
-            coeff = field.mul(c, field.of(e))
-            if not coeff:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            out[tuple(new)] = coeff
-        return Poly(ring, out)
-
     # -- division / ordering ---------------------------------------------------
 
     def leading_term(self) -> tuple:

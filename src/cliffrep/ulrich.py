@@ -78,11 +78,17 @@ def expected_hilbert(t: int, n: int, max_degree: int = 6) -> list[int]:
     These are the ranks in degree e of S^t and S(-1)^t over S = k[y0..yn];
     for n >= 1 the difference is t*C(e+n-1, n-1).
     """
+    if max_degree < 0:
+        raise InputError(f"degree cap must be >= 0, got {max_degree}")
     return [t * comb(n + e, n) - (t * comb(n + e - 1, n) if e else 0)
             for e in range(max_degree + 1)]
 
 
 # -- sampling --------------------------------------------------------------------
+
+# Off- and on-hypersurface points a certificate samples, and the fewest
+# smooth witnesses its smoothness check accepts.
+_SAMPLE_TARGET = 20
 
 
 @dataclass
@@ -102,10 +108,6 @@ class CorankSummary:
     def off_ok(self) -> bool:
         return self.off_points > 0 and self.off_corank_zero == self.off_points
 
-    @property
-    def on_ok(self) -> bool:
-        return self.on_smooth > 0 and not self.violations
-
     def to_payload(self) -> dict:
         return {
             "prime": self.prime, "seed": self.seed,
@@ -122,10 +124,10 @@ class CorankSummary:
 
 
 def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
-    """Reduce a rational rep mod p, rejecting primes that kill det(M)."""
+    """Reduce a verified rational rep mod p, rejecting primes that kill det(M)."""
     source = rep.ring
-    if source.field.kind != "QQ":
-        raise InputError("only rational reps are reduced modulo a prime")
+    if source.field.kind != "QQ" or not rep.verified:
+        raise InputError("only verified rational reps are reduced modulo a prime")
     field = prime_field(prime)
     target = PolyRing(field, source.base_count, source.fiber_count)
 
@@ -139,13 +141,11 @@ def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
     f = Poly(target, {exp: v for exp, c in rep.f.terms.items() if (v := reduce(c))})
     reduced = CliffordRep(LinearPencil.from_coefficients(target, rep.size, coeffs),
                           f, rep.d, rep.notes)
-    # M^d = f*I survives reduction, so det(M)^d = f^t: on a verified rep
-    # det(M) vanishes mod p exactly when f does
-    if (reduced.f.is_zero() if rep.verified
-            else not _det_is_nonzero(reduced.pencil)):
+    # M^d = f*I survives reduction, so det(M)^d = f^t: det(M) vanishes mod p
+    # exactly when f does
+    if reduced.f.is_zero():
         raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
-    if rep.verified:
-        verify_relation(reduced)
+    verify_relation(reduced)
     return reduced
 
 
@@ -161,8 +161,8 @@ def _at(terms: list, values: list, p: int) -> int:
     return sum(_term_at(exp, c, values, p) for exp, c in terms) % p
 
 
-def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
-                    off_target: int = 20, seed: int = 0,
+def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE_TARGET,
+                    off_target: int = _SAMPLE_TARGET, seed: int = 0,
                     max_tries: int = 20000) -> CorankSummary:
     """Sample fiber points: corank must be 0 off f = 0 and r at smooth points.
 
@@ -242,18 +242,13 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = 20,
 
 
 def fitting_exponent(rep: CliffordRep) -> int:
-    """The exponent r with det(M) = unit * f^r; always equals t/d.
+    """The exponent r with det(M) = unit * f^r; ``det_factorization`` makes it t/d.
 
     This is the computable shadow of the zeroth Fitting ideal being (f^r):
     a cokernel free of rank l on f = 0 would force (f^l) = (f^r), hence
     l = r.
     """
-    result = det_factorization(rep)
-    expected = rep.size // rep.d
-    if result.exponent != expected:
-        raise DivisionFails(
-            f"Fitting exponent {result.exponent} != t/d = {expected}")
-    return result.exponent
+    return det_factorization(rep).exponent
 
 
 # -- closed-form cohomology -------------------------------------------------------
@@ -306,9 +301,6 @@ def trivial_bundle_fiber_ulrich(n: int, d: int) -> bool:
 class CertificateConfig:
     max_degree: int = 6
     sample_prime: int = 101
-    on_target: int = 20
-    off_target: int = 20
-    min_smooth_witnesses: int = 20
     seed: int = 0
     base_points: list | None = None  # for base-parametrized reps
 
@@ -319,7 +311,6 @@ class UlrichCertificate:
     degree: int
     clifford_index: int | None
     report: Report
-    notes: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -344,36 +335,30 @@ def _mf_only_probe(rep: CliffordRep) -> bool:
 
 
 def _fiber_checks(rep: CliffordRep, config: CertificateConfig, report: Report,
-                  label: str = ""):
+                  prefix: str = ""):
     """Hilbert, sections, corank and smoothness checks for a base-free rep."""
-    prefix = f"{label}:" if label else ""
     # f != 0 (checked by verify_relation) and det(M)^d = f^t prove
     # det M != 0, so the Hilbert function is that of the linear resolution
     hilbert = expected_hilbert(rep.size, rep.ring.fiber_count - 1, config.max_degree)
     report.add(prefix + "hilbert-function", PASS,
                {"computed": hilbert, "expected": hilbert})
-    h0_want = rep.d * rep.clifford_index
-    report.add(prefix + "global-sections", PASS if hilbert[0] == h0_want else FAIL,
-               {"h0": hilbert[0], "dr": h0_want})
+    # h^0 = HF(0) = t, and a verified rep has t = d*r
+    report.add(prefix + "global-sections", PASS,
+               {"h0": hilbert[0], "dr": rep.d * rep.clifford_index})
     try:
-        summary = corank_sampling(rep, config.sample_prime, config.on_target,
-                                  config.off_target, config.seed)
-    except (BadPrime, InputError) as exc:
+        summary = corank_sampling(rep, config.sample_prime, seed=config.seed)
+    except InputError as exc:
         report.add(prefix + "corank-sampling", FAIL, {"error": str(exc)})
         report.add(prefix + "smoothness-sampling", FAIL, {"error": str(exc)})
         return
     corank_ok = summary.off_ok and not summary.violations
-    smooth_ok = summary.on_smooth >= config.min_smooth_witnesses
-    if not smooth_ok:
-        report.add(prefix + "corank-sampling",
-                   INCONCLUSIVE if corank_ok else FAIL, summary.to_payload())
-    else:
-        report.add(prefix + "corank-sampling",
-                   PASS if (corank_ok and summary.on_ok) else FAIL,
-                   summary.to_payload())
+    smooth_ok = summary.on_smooth >= _SAMPLE_TARGET
+    report.add(prefix + "corank-sampling",
+               FAIL if not corank_ok else PASS if smooth_ok else INCONCLUSIVE,
+               summary.to_payload())
     report.add(prefix + "smoothness-sampling", PASS if smooth_ok else FAIL,
                {"on_smooth": summary.on_smooth, "on_singular": summary.on_singular,
-                "required": config.min_smooth_witnesses, "sampled": True})
+                "required": _SAMPLE_TARGET, "sampled": True})
 
 
 def ulrich_certificate(rep: CliffordRep,
@@ -389,14 +374,14 @@ def ulrich_certificate(rep: CliffordRep,
     report = Report(subject=f"ulrich-certificate(t={rep.size}, d={rep.d})",
                     seed=config.seed,
                     budgets={"max_degree": config.max_degree,
-                             "on_target": config.on_target,
-                             "off_target": config.off_target,
+                             "on_target": _SAMPLE_TARGET,
+                             "off_target": _SAMPLE_TARGET,
                              "sample_prime": config.sample_prime})
     try:
         relation = verify_relation(rep)
     except NotHomogeneous as exc:
         report.add("clifford-relation", FAIL, {"error": str(exc)})
-        return UlrichCertificate(rep.size, rep.d, None, report.finalize(), rep.notes)
+        return UlrichCertificate(rep.size, rep.d, None, report.finalize())
     if not relation.passed:
         payload = {"witness": relation.describe()}
         if _mf_only_probe(rep):
@@ -405,27 +390,24 @@ def ulrich_certificate(rep: CliffordRep,
                                "of f but not a Clifford representation; "
                                "lift it with block_from_mf")
         report.add("clifford-relation", FAIL, payload)
-        return UlrichCertificate(rep.size, rep.d, None, report.finalize(), rep.notes)
+        return UlrichCertificate(rep.size, rep.d, None, report.finalize())
     report.add("clifford-relation", PASS,
                {"t": rep.size, "d": rep.d, "r": rep.clifford_index})
-    try:
-        factorization = det_factorization(rep)
-        report.add("determinant-factorization", PASS,
-                   {"unit": str(factorization.unit),
-                    "exponent": factorization.exponent})
-    except DivisionFails as exc:
-        report.add("determinant-factorization", FAIL, {"error": str(exc)})
+    # the relation proves det M = unit * f^r, so this cannot fail
+    factorization = det_factorization(rep)
+    report.add("determinant-factorization", PASS,
+               {"unit": str(factorization.unit), "exponent": factorization.exponent})
     if rep.ring.base_count == 0:
         _fiber_checks(rep, config, report)
     elif config.base_points:
         for k, point in enumerate(config.base_points):
             fiber = specialize_rep(rep, point)
             cert = verify_relation(fiber)
-            label = "base" + str(k)
-            report.add(f"{label}:relation", PASS if cert.passed else FAIL,
+            prefix = f"base{k}:"
+            report.add(prefix + "relation", PASS if cert.passed else FAIL,
                        {"point": {k2: str(v) for k2, v in point.items()}})
             if cert.passed:
-                _fiber_checks(fiber, config, report, label)
+                _fiber_checks(fiber, config, report, prefix)
     else:
         report.add("fiber-checks", SKIPPED,
                    {"reason": "base-parametrized rep; pass base_points to sample fibers"})
@@ -441,4 +423,4 @@ def ulrich_certificate(rep: CliffordRep,
     for note in rep.notes:
         report.add("note", SKIPPED, {"note": note})
     report.finalize()
-    return UlrichCertificate(rep.size, rep.d, rep.clifford_index, report, rep.notes)
+    return UlrichCertificate(rep.size, rep.d, rep.clifford_index, report)

@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import cliffrep as cr
 from cliffrep import linalg
 from cliffrep.documents import dumps_document
-from cliffrep.errors import (DivisionFails, ExponentOverflow, InputError,
+from cliffrep.errors import (CoefficientNotInField, DivisionFails,
+                             ExponentOverflow, InputError,
                              InternalInconsistency, NotHomogeneous,
                              ShapeMismatch, UnsupportedBase)
 from conftest import (block_quadric_rep, clock_rep, paper_f, paper_phi,
@@ -391,6 +393,20 @@ def test_conjugate_rejects_a_wrong_size_theta(qq):
     eye3 = [[qq.one if i == j else qq.zero for j in range(3)] for i in range(3)]
     with pytest.raises(ShapeMismatch):
         cr.conjugate(rep, eye3)
+
+
+def test_conjugate_takes_theta_into_the_field(block_rep_qq):
+    # an int theta over QQ gives the Fraction rep; a float has no exact value
+    ints = [[3, 1, 0, 0], [0, 7, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    from_ints = cr.conjugate(block_rep_qq, ints)
+    from_fractions = cr.conjugate(block_rep_qq,
+                                  [[Fraction(x) for x in row] for row in ints])
+    assert from_ints.pencil == from_fractions.pencil and from_ints.verified
+    assert all(isinstance(x, Fraction)
+               for c in from_ints.pencil.coefficients.values()
+               for row in c for x in row)
+    with pytest.raises(CoefficientNotInField):
+        cr.conjugate(block_rep_qq, [[float(x) for x in row] for row in ints])
 
 
 def test_package_has_no_assert_statements():

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import cliffrep as cr
-from cliffrep.cli import cli_dispatch
+from cliffrep.cli import build_parser, cli_dispatch
 from cliffrep.documents import (dumps_document, load_pencil_document,
                                 pencil_document)
 from cliffrep.errors import InputError
@@ -273,7 +273,32 @@ def test_cli_input_errors(tmp_path, capsys):
                                "phi": [["y0", "y1"], ["y2", "y3", "y0"]],
                                "psi": [["y3", "-y1"], ["-y2", "y0"]]}))
     assert cli_dispatch(["construct", "block-mf", "--input", str(bad)]) == 3
+    # a kind's required option, the pencil-or-corpus choice, sizes, n >= 2
+    line = tmp_path / "line.pencil"
+    line.write_text(json.dumps(good))
+    for argv in (["construct", "gamma"], ["construct", "hyperplane"],
+                 ["construct", "block-mf"], ["construct", "cyclic"],
+                 ["ulrich-check"], ["ulrich-check", str(line), "--corpus", str(tmp_path)],
+                 ["ulrich-check", str(line), "--max-degree", "-1"],
+                 ["cohomology", "--n", "1", "--d", "2", "--assert-ulrich"]):
+        assert cli_dispatch(argv) == 3
+    search = ["search", "--field", "GF(3)", "--f", "y0^2 - y1^2"]
+    for d, t in (("0", "2"), ("2", "0"), ("2", "-2")):
+        assert cli_dispatch(search + ["--d", d, "--t", t]) == 3
     capsys.readouterr()
+    # a corpus entry that cannot be read, or is not UTF-8, is an error row,
+    # as malformed JSON is
+    corpus = tmp_path / "corpus"
+    (corpus / "folder.pencil").mkdir(parents=True)
+    (corpus / "latin1.pencil").write_bytes(b"\xff not UTF-8")
+    assert cli_dispatch(["ulrich-check", "--corpus", str(corpus)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("folder.pencil,error: [Errno")
+    assert rows[2].startswith("latin1.pencil,error: 'utf-8' codec can't decode")
+
+
+def test_cli_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cli_exit_codes_match_verdicts(pencil_files, capsys):

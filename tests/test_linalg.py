@@ -125,3 +125,27 @@ def test_qq_rank_and_det_when_a_large_prime_divides_det():
     assert linalg.det(QQ, mat) == big
     assert linalg.det(cr.prime_field(big), [[x % big for x in map(int, row)]
                                             for row in mat]) == 0
+
+
+
+def all_fractions(value):
+    if isinstance(value, list):
+        return all(map(all_fractions, value))
+    return isinstance(value, Fraction)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+def test_qq_int_input_gives_the_fraction_answers(data, rows, cols):
+    # ints are exact rationals: no float may come out of an inverse
+    ints = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3, -5]),
+                                       min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    fractions = [[Fraction(x) for x in row] for row in ints]
+    ops = (linalg.nullspace, linalg.det, linalg.inv) if rows == cols else (
+        linalg.nullspace,)
+    for op in ops:
+        got = op(QQ, ints)
+        assert got == op(QQ, fractions)
+        assert got is None or all_fractions(got)
+

@@ -131,9 +131,3 @@ def test_y_homogeneity():
     g = cr.parse_poly("y0^2 + y1", ring)
     assert not g.is_y_homogeneous()
     assert ring.zero().is_y_homogeneous()
-
-
-def test_derivative():
-    ring = ring_qq(2)
-    f = cr.parse_poly("y0^3 + y1^3", ring)
-    assert f.derivative("y0") == cr.parse_poly("3*y0^2", ring)

@@ -295,8 +295,7 @@ def test_certificate_one_fiber_variable_default_prime(qq):
 def test_certificate_base_parametrized(qq):
     ring = cr.PolyRing(qq, 1, 2)
     rep = cr.hyperplane_rep(cr.parse_poly("t1*y0 + y1", ring))
-    config = cr.CertificateConfig(base_points=[{"t1": qq.of(2)}, {"t1": qq.of(-3)}],
-                                  on_target=20, off_target=20)
+    config = cr.CertificateConfig(base_points=[{"t1": qq.of(2)}, {"t1": qq.of(-3)}])
     cert = cr.ulrich_certificate(rep, config)
     assert cert.passed
     names = [r.name for r in cert.report.records]

@@ -382,6 +382,8 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
         raise InputError("random search runs over prime fields only")
     if d < 1 or t < 1:
         raise InputError(f"degree d={d} and size t={t} must be positive")
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     if t % d != 0:
         raise InputError(f"size t={t} must be a multiple of d={d}: other sizes "
                          "cannot carry the relation")

@@ -97,3 +97,7 @@ class UnsupportedBase(InputError):
 
 class BadPrime(InputError):
     """Reduction of a rational pencil modulo p kills its determinant."""
+
+
+class SampleBudgetSpent(InputError):
+    """Corank sampling found no point on f = 0 within its budget."""

@@ -5,14 +5,18 @@ scalars.  Matrices are lists of row lists of scalars (Fractions over QQ,
 residues over GF(p)).  One Gauss-Jordan elimination, ``_eliminate``, gives
 the reduced rows, the pivot columns and the signed pivot product, and
 ``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` read their answers
-off it.  Its numpy twin ``_rref_modp`` takes over for GF(p) with p < 2^31
+off it.  Its numpy twin ``rref_modp`` takes over for GF(p) with p < 2^31
 on matrices of more than ``_LIST_MAX_CELLS`` cells, where array set-up no
 longer costs more than the list loop.  There is no separate integer path:
 QQ matrices are eliminated exactly over Fractions.
 
-The one exception to lists is ``modp_mat_pow``, a batched power over integer
-arrays of shape (..., t, t) in ``modp_dtype(p)``: int64 below 2^31, Python
-ints in an object array above.
+Arrays of residues have one product, ``matmul_modp``: exact mod p for
+int64 entries below 2^31 (it splits one factor into 16-bit halves so that
+no int64 sum overflows) and for Python ints in an object array above.
+``modp_mat_pow`` is a loop over it.  Callers that keep whole matrix sets
+as arrays (the batched search screen, the structure kernels of
+``clifford`` above their size cut) call ``matmul_modp`` and ``rref_modp``
+directly; ``nullspace`` takes such an array as well.
 """
 from __future__ import annotations
 
@@ -32,13 +36,16 @@ def modp_dtype(p: int):
     return np.int64 if p < _NP_LIMIT else object
 
 
-def _reduce(field: Field, mat: list):
-    """(reduced rows, pivot columns, signed pivot product) of mat; the rows
-    are an int64 array when the numpy twin ran, else lists."""
+def _reduce(field: Field, mat):
+    """(reduced rows, pivot columns, signed pivot product) of a list matrix,
+    or of an int64 array over GF(p < 2^31), which is reduced in place; the
+    rows are an int64 array when the numpy twin ran, else lists."""
+    if isinstance(mat, np.ndarray):
+        return rref_modp(mat, field.p)
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if field.kind == "GF" and field.p < _NP_LIMIT and rows * cols > _LIST_MAX_CELLS:
-        return _rref_modp(np.array(mat, dtype=np.int64), field.p)
+        return rref_modp(np.array(mat, dtype=np.int64), field.p)
     return _eliminate(field, mat)
 
 
@@ -81,33 +88,55 @@ def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
     return a, pivots, product
 
 
-def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
-    """The numpy twin of ``_eliminate`` over GF(p), p < 2^31, on int64 rows."""
-    a = a % p
+def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """The numpy twin of ``_eliminate`` over GF(p), p < 2^31, on an int64
+    array with entries of absolute value below p, which it reduces in place
+    and returns.
+
+    A pivot row is zero left of its pivot column, so each update touches
+    only the columns from the pivot on.  Each pivot step adds less than p^2
+    to any entry, so when (cols + 1) * p^2 < 2^63 the updates skip the
+    reduction mod p and one remainder at the end makes the rows canonical;
+    only the pivot column and pivot row are reduced as they are read.
+    """
     rows, cols = a.shape
+    lazy = (cols + 1) * p * p < 1 << 63
+    if not lazy:
+        np.remainder(a, p, out=a)
     r = 0
     pivots = []
     product = 1
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c] % p
+        hit = col.nonzero()[0]
+        k = np.searchsorted(hit, r)
+        if k == hit.size:
             continue
-        pr = r + int(nz[0])
+        pr = int(hit[k])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            a[[r, pr], c:] = a[[pr, r], c:]
+            col[[r, pr]] = col[[pr, r]]
+            hit = col.nonzero()[0]
             product = -product % p
-        pivot = int(a[r, c])
+        pivot = int(col[r])
         product = product * pivot % p
-        a[r] = a[r] * pow(pivot, p - 2, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        top = a[r, c:] % p
+        if pivot != 1:
+            top *= pow(pivot, p - 2, p)
+            top %= p
+        a[r, c:] = top
+        hit = hit[hit != r]
+        if hit.size:
+            block = a[hit, c:]
+            block -= col[hit, None] * top
+            if not lazy:
+                block %= p
+            a[hit, c:] = block
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    np.remainder(a, p, out=a)
     return a, pivots, product
 
 
@@ -127,18 +156,28 @@ def rank(field: Field, mat: list) -> int:
 rank_field_matrix = rank
 
 
-def nullspace(field: Field, mat: list) -> list[list]:
-    """Canonical right-nullspace basis (one vector per free column)."""
-    cols = len(mat[0]) if mat else 0
-    reduced, pivots = rref(field, mat)
+def nullspace(field: Field, mat) -> list[list]:
+    """Canonical right-nullspace basis (one vector per free column) of a
+    list matrix, or of an int64 array over GF(p < 2^31), which it reduces
+    in place."""
+    if isinstance(mat, np.ndarray):
+        cols = mat.shape[1]
+    else:
+        cols = len(mat[0]) if mat else 0
+    reduced, pivots, _ = _reduce(field, mat)
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
+    if isinstance(reduced, np.ndarray):
+        # only the free columns of the pivot rows are read
+        reduced = reduced[:len(pivots), free].tolist()
+    else:
+        reduced = [[row[j] for j in free] for row in reduced[:len(pivots)]]
     basis = []
-    for j in free:
+    for k, j in enumerate(free):
         v = [field.zero] * cols
         v[j] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[r][j])
+        for row, pc in zip(reduced, pivots):
+            v[pc] = field.neg(row[k])
         basis.append(v)
     return basis
 
@@ -175,17 +214,25 @@ def mat_mul(field: Field, a: list, b: list) -> list:
              for col in cols] for row in a]
 
 
+def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, batched over leading axes, for entries in [0, p).
+
+    In int64 (p < 2^31) b is split as 2^16 * (b >> 16) + (b & 0xFFFF): each
+    half's products are below 2^47, so their sums stay exact for inner
+    dimension below 2^16.  An object array of Python ints passes through
+    the same expression.
+    """
+    return ((a @ (b >> 16)) % p * 65536 + a @ (b & 0xFFFF)) % p
+
+
 def modp_mat_pow(a: np.ndarray, d: int, p: int) -> np.ndarray:
     """a^d over GF(p) for d >= 1, batched over the leading axes of an integer
-    array of shape (..., t, t) with entries in [0, p).
-
-    Below ``_NP_LIMIT`` the entries are int64 and every product is reduced
-    mod p before the t-term sum, so nothing overflows; larger p pass an
-    object array of Python ints through the same code.  Kept by this name
+    array of shape (..., t, t) with entries in [0, p): int64 below
+    ``_NP_LIMIT``, an object array of Python ints above.  Kept by this name
     because the benchmark tracer wraps it.
     """
     a = np.asarray(a, dtype=modp_dtype(p))
     out = a
     for _ in range(d - 1):
-        out = (out[..., :, :, None] * a[..., None, :, :] % p).sum(axis=-2) % p
+        out = matmul_modp(out, a, p)
     return out

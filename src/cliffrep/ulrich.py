@@ -19,7 +19,7 @@ from . import linalg
 from .clifford import (CliffordRep, det_factorization, probe_points,
                        specialize_rep, verify_relation)
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
-                     UnsupportedBase)
+                     SampleBudgetSpent, UnsupportedBase)
 from .fields import gf_roots, prime_field
 from .pencil import LinearPencil, assemble, extract, pencil_at
 from .poly import Poly, PolyRing
@@ -171,7 +171,8 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     ascending order, found by ``gf_roots`` on the dense slice polynomial.
     Points where the gradient of f vanishes are recorded as singular and
     exempt from the corank assertion.  With one fiber variable V(f) is
-    empty, which raises at once the InputError an exhausted budget raises.
+    empty, which raises at once the SampleBudgetSpent an exhausted budget
+    raises.
     """
     if rep.ring.base_count:
         raise UnsupportedBase("specialize the base before sampling coranks")
@@ -181,7 +182,7 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
         rep = reduce_rep_mod_prime(rep, prime)
     if rep.ring.fiber_count == 1 and not rep.f.is_zero():
         # f = c*y0^d with c != 0 vanishes nowhere on P^0: no slice can hit V(f)
-        raise InputError("found no points on the hypersurface within the budget")
+        raise SampleBudgetSpent("found no points on the hypersurface within the budget")
     field = rep.ring.field
     p = field.p
     n = rep.ring.fiber_count
@@ -237,7 +238,7 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
             if summary.on_smooth >= on_target:
                 break
     if summary.on_points == 0:
-        raise InputError("found no points on the hypersurface within the budget")
+        raise SampleBudgetSpent("found no points on the hypersurface within the budget")
     return summary
 
 
@@ -347,7 +348,7 @@ def _fiber_checks(rep: CliffordRep, config: CertificateConfig, report: Report,
                {"h0": hilbert[0], "dr": rep.d * rep.clifford_index})
     try:
         summary = corank_sampling(rep, config.sample_prime, seed=config.seed)
-    except InputError as exc:
+    except (SampleBudgetSpent, BadPrime) as exc:
         report.add(prefix + "corank-sampling", FAIL, {"error": str(exc)})
         report.add(prefix + "smoothness-sampling", FAIL, {"error": str(exc)})
         return

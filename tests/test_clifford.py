@@ -5,11 +5,12 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
-from cliffrep import linalg
+from cliffrep import clifford, linalg
 from cliffrep.documents import dumps_document
 from cliffrep.errors import (CoefficientNotInField, DivisionFails,
                              ExponentOverflow, InputError,
@@ -512,6 +513,48 @@ def test_reducible_witness_is_rref_and_invariant():
     for m in double.scalar_matrices():
         images = [list(col) for col in zip(*linalg.mat_mul(field, m, list(zip(*basis))))]
         assert linalg.rank(field, basis + images) == len(basis)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 101, 2**31 - 1]),
+       nvars=st.integers(3, 6))
+def test_array_kernels_match_list_builders(data, p, nvars):
+    """Above the size cut, Hom systems, algebra spans and spins run on
+    arrays; the list builders must give the same dimensions and bases."""
+    field = cr.prime_field(p)
+    coeffs = data.draw(st.lists(st.integers(1, 6).map(lambda a: a * (-1) ** a),
+                                min_size=nvars, max_size=nvars))
+    rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, nvars), coeffs)
+    conj = cr.conjugate(rep, data.draw(sparse_invertible(field, rep.size)))
+    summed = cr.direct_sum(rep, conj)
+    assert clifford._uses_arrays(field, rep.size ** 2)
+    for a, b in ((rep, conj), (conj, summed), (summed, rep)):
+        rows, unknowns = clifford.intertwiner_system(a, b)
+        vecs = linalg.nullspace(field, rows)
+        assert cr.hom_space_dim(a, b) == len(unknowns) - linalg.rank(field, rows)
+        assert cr.intertwiner_basis(a, b) == [
+            clifford._vector_to_theta(a.ring, unknowns, v) for v in vecs]
+    for r in (rep, conj, summed):
+        mats = r.scalar_matrices()
+        arrays = np.array(mats, dtype=np.int64)
+        assert (clifford._generated_algebra_dim(field, arrays, r.size)
+                == clifford._generated_algebra_dim(field, mats, r.size))
+        vec = data.draw(st.lists(st.integers(0, p - 1), min_size=r.size,
+                                 max_size=r.size))
+        assert clifford._spin(field, arrays, vec) == clifford._spin(field, mats, vec)
+
+
+def test_qq_algebra_falls_back_when_the_proof_prime_fails(qq):
+    # mod 2^31 - 1 one pair of generators squares to 0, or a denominator
+    # cannot be inverted: no proof, so the exact span decides
+    prime = clifford._QQ_PROOF_PRIME
+    for big in (prime, Fraction(1, prime)):
+        rep = cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 4), [1, -1, big, -big])
+        residues = clifford._reduce_rationals(rep.scalar_matrices(), prime)
+        assert residues is None or clifford._algebra_dim_modp(
+            cr.prime_field(prime), residues) < 16
+        result = cr.irreducibility_check(rep)
+        assert result.verdict == "irreducible" and result.algebra_dim == 16
 
 
 def test_irreducibility_inconclusive_over_qq(qq):

@@ -44,6 +44,23 @@ def build_corpus(root):
         "field": "QQ", "fiber_vars": 4, "f": "y0*y3 - y1*y2",
         "phi": [["y0", "y1"], ["y2", "y3"]],
         "psi": [["y3", "-y1"], ["-y2", "y0"]]}))
+    # t = 8 and 16: sizes where the structure checks run on arrays.  They sit
+    # in a subdirectory so that the corpus cases do not certify them.
+    big = root / "t8"
+    big.mkdir()
+    gamma = cr.gamma_quadric_rep(cr.PolyRing(cr.prime_field(101), 0, 6),
+                                 [1, -1, 2, -2, 3, -3])
+    conj = cr.conjugate(gamma, [[pow(i + 2, j, 101) for j in range(8)]
+                                for i in range(8)])
+    big_reps = {
+        "gamma": gamma,
+        "conj": conj,
+        "sum": cr.direct_sum(gamma, conj),
+        "gamma-qq": cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 6),
+                                         [1, -1, 2, -2, 3, -3]),
+    }
+    for label, rep in big_reps.items():
+        cr.save_pencil(rep, str(big / f"{label}.pencil"))
     (root / "chain.json").write_text(json.dumps({
         "field": "QQ", "fiber_vars": 2, "f": "y0^2*y1 + y0*y1^2",
         "factors": [[["y0"]], [["y1"]], [["y0 + y1"]]]}))
@@ -68,6 +85,17 @@ def cases():
                         ["irreducible", f"@{name}.pencil", "--json",
                          "--seed", seed]))
     out.append(("irreducible-bare", ["irreducible", "@bare.pencil", "--json"]))
+    for name in ("gamma", "conj", "sum"):
+        for seed in ("0", "3"):
+            out.append((f"irreducible-t8-{name}-s{seed}",
+                        ["irreducible", f"@t8/{name}.pencil", "--json",
+                         "--seed", seed]))
+    out.append(("irreducible-t8-gamma-qq",
+                ["irreducible", "@t8/gamma-qq.pencil", "--json"]))
+    for a, b in (("gamma", "conj"), ("conj", "gamma"), ("sum", "sum")):
+        out.append((f"equiv-t8-{a}-{b}",
+                    ["equiv", f"@t8/{a}.pencil", f"@t8/{b}.pencil", "--json",
+                     "--seed", "3"]))
     for a, b in (("block", "block"), ("clock", "clock"), ("gamma", "gamma"),
                  ("sum", "sum"), ("block", "sum"), ("block", "bare")):
         out.append((f"equiv-{a}-{b}",
@@ -196,6 +224,20 @@ GOLDEN = {
         (1, "43225d53bc10b2639178f8895761a4487ff6ae6802f1487a67bff490987172c9"),
     "irreducible-bare":
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "irreducible-t8-gamma-s0":
+        (0, "f0a658d86c5a58348092c6c476b3c7b51ce92c898f2bcc54c7750749a7b0672c"),
+    "irreducible-t8-gamma-s3":
+        (0, "c3e9f2f04c874ae5817276710d9db53e3345920f5f75969000ed2a874346218e"),
+    "irreducible-t8-conj-s0":
+        (0, "9c4f619c47d41d8f1c8aaec4f1239968ca8dc504c8bb4e1653aa06185ca755f7"),
+    "irreducible-t8-conj-s3":
+        (0, "63bacf00687e3e5cb6f2f15fe643b20b2e6a7c1d5bf2b91729b5ceb2d11c37ec"),
+    "irreducible-t8-sum-s0":
+        (1, "cc9ba8ef23dfd2c5e6ffca45f57ad32ba83068d6a075b893fd79ca275f76c43f"),
+    "irreducible-t8-sum-s3":
+        (1, "ccb60daa52ca7fdab44a116f5340841ebe3c4ec0599c3ace30fee4839cab3fc1"),
+    "irreducible-t8-gamma-qq":
+        (0, "612c27296ce975bd9f775e4b7cd23320b81297367455efadf90bfa1c11dc2709"),
     "equiv-block-block":
         (0, "9bb8323b9882ebcfd1b2958c8dce2eab4fe69c80f830b58ed921bfe9901dcd37"),
     "equiv-clock-clock":
@@ -208,6 +250,12 @@ GOLDEN = {
         (1, "840f235c249ebee6a429a4af83bf85086f9a7ed78c81d0263830863646890d00"),
     "equiv-block-bare":
         (1, "86956e4e6af6ae5e6cddbe4f8dd6d05b3460741be9d51fb98bd57317c44a26d2"),
+    "equiv-t8-gamma-conj":
+        (0, "917fb06a7567940b2d312d84a4c255db7445fcdc08423bed6118e25204a29909"),
+    "equiv-t8-conj-gamma":
+        (0, "ccb7f896d8407af3769d906f177eb28d57ca1d18821f0350e6965aed9b4fb5d5"),
+    "equiv-t8-sum-sum":
+        (0, "35971e48b123694ce225610e68e4a3ea13fdb511fc1d8016ef4376fe0414a0ae"),
     "corpus-s0":
         (1, "428be093c1bf0c3852ed680797da3b4f5ce00379c63f5a2995921732751e53cd"),
     "corpus-s3":

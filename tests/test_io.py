@@ -285,6 +285,15 @@ def test_cli_input_errors(tmp_path, capsys):
     search = ["search", "--field", "GF(3)", "--f", "y0^2 - y1^2"]
     for d, t in (("0", "2"), ("2", "0"), ("2", "-2")):
         assert cli_dispatch(search + ["--d", d, "--t", t]) == 3
+    assert cli_dispatch(search + ["--d", "2", "--t", "2", "--budget", "-5"]) == 3
+    assert cli_dispatch(["equiv", str(line), str(line), "--budget", "-1"]) == 3
+    assert cli_dispatch(["irreducible", str(line), "--budget", "-1"]) == 3
+    # a modulus that is no prime is an input error, not a failed certificate
+    clock = tmp_path / "clock.pencil"
+    cr.save_pencil(clock_rep(cr.rationals(), [1, 2, 4]), str(clock))
+    for prime in ("4", "1000000"):
+        assert cli_dispatch(["ulrich-check", str(clock), "--prime", prime,
+                             "--json"]) == 3
     capsys.readouterr()
     # a corpus entry that cannot be read, or is not UTF-8, is an error row,
     # as malformed JSON is

@@ -1,8 +1,10 @@
 """The one elimination in linalg: its numpy twin, and the laws every answer
-read off it must obey over QQ and GF(p)."""
+read off it must obey over QQ and GF(p); the one array product."""
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
@@ -74,7 +76,7 @@ def test_eliminate_matches_numpy_twin(data, p, rows, cols):
     field = cr.prime_field(p)
     mat = data.draw(matrices(field, rows, cols))
     reduced, pivots, product = linalg._eliminate(field, mat)
-    arr, twin_pivots, twin_product = linalg._rref_modp(np.array(mat, dtype=np.int64), p)
+    arr, twin_pivots, twin_product = linalg.rref_modp(np.array(mat, dtype=np.int64), p)
     assert arr.tolist() == reduced
     assert twin_pivots == pivots
     assert twin_product == product
@@ -126,6 +128,28 @@ def test_qq_rank_and_det_when_a_large_prime_divides_det():
     assert linalg.det(cr.prime_field(big), [[x % big for x in map(int, row)]
                                             for row in mat]) == 0
 
+
+
+def int_product(a, b, p):
+    """a*b mod p in Python ints, the reference for the array product."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1])
+def test_array_product_is_exact(p):
+    # all entries p - 1: a plain int64 sum of 32 such products overflows
+    full = [[p - 1] * 32 for _ in range(32)]
+    rng = random.Random(p)
+    batch = [[[rng.randrange(p) for _ in range(32)] for _ in range(32)]
+             for _ in range(3)] + [full]
+    a = np.array(batch, dtype=linalg.modp_dtype(p))
+    got = linalg.matmul_modp(a, a[::-1], p)
+    assert got.tolist() == [int_product(x, y, p) for x, y in zip(batch, batch[::-1])]
+    # modp_mat_pow is a loop over the product, int64 or object array alike
+    cube = linalg.modp_mat_pow(a, 3, p)
+    assert cube.dtype == (np.int64 if p < 1 << 31 else object)
+    assert cube.tolist() == [int_product(int_product(x, x, p), x, p) for x in batch]
 
 
 def all_fractions(value):

@@ -6,10 +6,17 @@ M(y)^d = f * I.  That polynomial identity is the normative check here: it
 implies the scalar relation at every point of every extension ring, which
 pointwise evaluation over a finite field cannot.
 
-The structure kernels (intertwiner systems, generated-algebra spans and
-spins) run on int64 arrays over GF(p < 2^31) once their matrices reach
+The structure kernels (Hom spaces, generated-algebra spans and spins) run
+on int64 arrays over GF(p < 2^31) once their matrices reach
 ``_ARRAY_MIN_CELLS`` entries, and on lists of scalars below that and over
-QQ.  Both give the same answers: an RREF depends only on the row space.
+QQ.  On arrays, Hom(M1, M2) is found by spinning, the module homomorphism
+algorithm of the MeatAxe (Parker 1984; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, section 7.5): M1 is spun from standard vectors,
+and the unknowns are the images of the s seeds, s*t2 of them, not the
+t1*t2 entries of theta.  The list path solves the Kronecker system of
+``intertwiner_system`` for all entries.  Both give the same answers: an
+RREF depends only on the row space, and the canonical basis of a Hom space
+depends only on the space.
 """
 from __future__ import annotations
 
@@ -323,36 +330,136 @@ def _uses_arrays(field, cells: int) -> bool:
             and cells >= _ARRAY_MIN_CELLS)
 
 
-def _kronecker_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
-    """The equations theta*A1_i = A2_i*theta over the row-major entries of
-    theta, from the (g, t1, t1) and (g, t2, t2) generator arrays: the rows
-    of I (x) A1_i^T - A2_i (x) I, unreduced, zero rows dropped and the
-    sparsest first (fewer fill-ins in the elimination)."""
-    g, t1, t2 = len(mats1), mats1.shape[-1], mats2.shape[-1]
-    system = np.zeros((g, t2, t1, t2, t1), dtype=np.int64)
-    u, v = np.arange(t2), np.arange(t1)
-    # entry (u, v) of theta*A1 is sum_w theta[u][w]*A1[w][v], of A2*theta
-    # sum_w A2[u][w]*theta[w][v]
-    system[:, u, :, u, :] = mats1.transpose(0, 2, 1)
-    system[:, :, v, :, v] -= mats2
-    system = system.reshape(g * t2 * t1, t2 * t1)
-    nonzero = np.count_nonzero(system, axis=1)
-    order = np.argsort(nonzero, kind="stable")
-    return system[order[nonzero[order] > 0]]
+def _spin_module(gens1: np.ndarray, gens2: np.ndarray, p: int):
+    """Spin M1 = k^t1 under the (g, t1, t1) array gens1 from standard
+    vectors, one breadth-first layer at a time.
+
+    e_k becomes a new seed when it is outside the span so far.  Every other
+    basis vector is an image b_j = A1_i*b_j' of an earlier one, and its word
+    W_j = A2_i*W_j' in the (g, t2, t2) array gens2 is what a homomorphism
+    theta must send it to: theta*b_j = W_j * theta*e_seed.  Returns the
+    basis rows b_j, their words, the seed number of each and the images
+    A1_i*b_j as a (g, t1, t1) array of rows.
+    """
+    t1, t2 = gens1.shape[-1], gens2.shape[-1]
+    gens1_t = gens1.transpose(0, 2, 1)  # a row b maps to (A b)^T = b A^T
+    eye = np.eye(t1, dtype=np.int64)
+    basis, words, seeds, images = [], [], [], []
+    echelon, pivots = eye[:0], []  # RREF of the span so far
+    seed = 0
+    while len(pivots) < t1:
+        # e_k is in the span iff its column is a pivot whose row is e_k
+        row_of = dict(zip(pivots, range(len(pivots))))
+        k = next(k for k in range(t1) if k not in row_of
+                 or np.count_nonzero(echelon[row_of[k]]) > 1)
+        layer, layer_words = eye[[k]], np.eye(t2, dtype=np.int64)[None]
+        fresh = (layer - linalg.matmul_modp(layer[:, pivots], echelon, p)) % p
+        while len(layer):
+            basis.append(layer)
+            words.append(layer_words)
+            seeds += [seed] * len(layer)
+            # the new rows, reduced against the old span, extend its RREF
+            fresh, new_pivots, _ = linalg.rref_modp(fresh, p)
+            echelon = np.concatenate(((echelon - linalg.matmul_modp(
+                echelon[:, new_pivots], fresh, p)) % p, fresh))
+            pivots += new_pivots
+            found = linalg.matmul_modp(layer, gens1_t, p)  # (g, L, t1)
+            images.append(found)
+            found = found.reshape(-1, t1)
+            residues = (found - linalg.matmul_modp(found[:, pivots], echelon, p)) % p
+            candidates = np.flatnonzero(residues.any(axis=1))
+            # a greedy maximal independent set: the pivot columns of the
+            # residues' transpose
+            picks = candidates[linalg.rref_modp(
+                np.ascontiguousarray(residues[candidates].T), p)[1]]
+            gen, parent = np.divmod(picks, len(layer))
+            layer, fresh = found[picks], residues[picks]
+            layer_words = linalg.matmul_modp(gens2[gen], layer_words[parent], p)
+        seed += 1
+    return (np.concatenate(basis), np.concatenate(words), np.array(seeds),
+            np.concatenate(images, axis=1))
 
 
-def _hom_system(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int):
-    """(system, unknowns) of ``intertwiner_system``; above the size cut, for
-    a base-free rep over GF(p < 2^31), the system is the Kronecker array."""
+def _spun_system(gens1: np.ndarray, gens2: np.ndarray, p: int):
+    """The homomorphism equations of the MeatAxe (Parker 1984; Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, section 7.5) over
+    GF(p < 2^31), from the (g, t1, t1) and (g, t2, t2) generator arrays.
+
+    The unknowns u = (theta*e_k1, ..., theta*e_ks) are the images of the s
+    seeds of ``_spin_module``, s*t2 of them.  theta*b_j = Phi_j*u, with
+    Phi_j the word W_j in the block of its seed, so with B the basis rows
+    theta*e_v = Psi_v*u for Psi = B^-1*Phi.  theta intertwines iff
+    theta*(A1_i*b_j) = A2_i*theta*b_j for all i and j, that is iff
+    sum_v (A1_i*b_j)[v]*Psi_v*u = A2_i*Phi_j*u.  Returns the rows of that
+    system (zero rows dropped) and Psi as a (t1*t2, s*t2) array.
+    """
+    g, t1, t2 = len(gens1), gens1.shape[-1], gens2.shape[-1]
+    basis, words, seeds, images = _spin_module(gens1, gens2, p)
+    s = int(seeds.max()) + 1
+    phi = np.zeros((t1, t2, s, t2), dtype=np.int64)
+    phi[np.arange(t1), :, seeds, :] = words
+    phi = phi.reshape(t1, t2, s * t2)
+    inverse = linalg.rref_modp(np.concatenate(
+        (basis, np.eye(t1, dtype=np.int64)), axis=1), p)[0][:, t1:]
+    psi = linalg.matmul_modp(inverse, phi.reshape(t1, -1), p)
+    lhs = linalg.matmul_modp(images.reshape(g * t1, t1), psi, p)
+    rhs = linalg.matmul_modp(gens2[:, None], phi[None], p)
+    system = (lhs.reshape(rhs.shape) - rhs) % p
+    system = system.reshape(-1, s * t2)
+    return system[system.any(axis=1)], psi.reshape(t1 * t2, s * t2)
+
+
+def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int) -> np.ndarray:
+    """The canonical basis of Hom(M1, M2) over GF(p < 2^31): the rows that
+    ``linalg.nullspace`` gives for ``intertwiner_system``, over the
+    row-major entries of theta.
+
+    That basis is the one that is the identity on the free columns, listed
+    by free column, and any basis of the space gives it back: the RREF with
+    the columns reversed has the free columns as its pivots.
+    """
+    t1, t2 = gens1.shape[-1], gens2.shape[-1]
+    system, psi = _spun_system(gens1, gens2, p)
+    cols = system.shape[1]
+    reduced, pivots, _ = linalg.rref_modp(system, p)
+    free = sorted(set(range(cols)) - set(pivots))
+    if not free:
+        return np.zeros((0, t2 * t1), dtype=np.int64)
+    kernel = np.zeros((len(free), cols), dtype=np.int64)
+    kernel[np.arange(len(free)), free] = 1
+    kernel[:, pivots] = -reduced[:len(pivots), free].T % p
+    # column v of each theta is Psi_v*u: entry [v, w, k] is theta_k[w][v]
+    thetas = linalg.matmul_modp(psi, kernel.T, p).reshape(t1, t2, -1)
+    thetas = np.ascontiguousarray(thetas.transpose(2, 1, 0)[:, ::-1, ::-1])
+    reduced = linalg.rref_modp(thetas.reshape(len(free), t2 * t1), p)[0]
+    return reduced[::-1, ::-1]
+
+
+def _hom_basis(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int):
+    """(basis vectors, unknowns) of ``intertwiner_basis``, the canonical
+    nullspace of ``intertwiner_system``, from the spun system above the
+    size cut for a base-free rep over GF(p < 2^31)."""
     ring = rep1.ring
-    t1, t2 = rep1.size, rep2.size
-    if ring.base_count or not _uses_arrays(ring.field, t1 * t2):
-        return intertwiner_system(rep1, rep2, max_base_degree)
+    field = ring.field
+    if not _spins(rep1, rep2):
+        rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
+        return (linalg.nullspace(field, rows if rows else
+                                 [[field.zero] * len(unknowns)]), unknowns)
     constant = (0,) * ring.nvars
-    unknowns = [(u, v, constant) for u in range(t2) for v in range(t1)]
-    system = _kronecker_system(np.array(rep1.scalar_matrices(), dtype=np.int64),
-                               np.array(rep2.scalar_matrices(), dtype=np.int64))
-    return system, unknowns
+    unknowns = [(u, v, constant) for u in range(rep2.size) for v in range(rep1.size)]
+    return _spun_basis(*_generator_arrays(rep1, rep2), field.p).tolist(), unknowns
+
+
+def _spins(rep1: CliffordRep, rep2: CliffordRep) -> bool:
+    """Whether Hom(rep1, rep2) is found by spinning: for base-free reps
+    over GF(p < 2^31) above the size cut."""
+    return (not rep1.ring.base_count
+            and _uses_arrays(rep1.ring.field, rep1.size * rep2.size))
+
+
+def _generator_arrays(rep1: CliffordRep, rep2: CliffordRep):
+    return (np.array(rep1.scalar_matrices(), dtype=np.int64),
+            np.array(rep2.scalar_matrices(), dtype=np.int64))
 
 
 def _vector_to_theta(ring: PolyRing, unknowns, vec) -> PolyMatrix:
@@ -369,11 +476,12 @@ def intertwiner_basis(rep1: CliffordRep, rep2: CliffordRep,
                       max_base_degree: int = 0) -> list[PolyMatrix]:
     """Basis of the space of theta (as Poly matrices) intertwining rep1 into rep2."""
     _check_compatible(rep1, rep2)
-    rows, unknowns = _hom_system(rep1, rep2, max_base_degree)
-    field = rep1.ring.field
-    basis_vecs = linalg.nullspace(field, rows if len(rows) else
-                                  [[field.zero] * len(unknowns)])
-    return [_vector_to_theta(rep1.ring, unknowns, vec) for vec in basis_vecs]
+    vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
+    return _thetas(rep1.ring, unknowns, vecs)
+
+
+def _thetas(ring: PolyRing, unknowns, vecs) -> list[PolyMatrix]:
+    return [_vector_to_theta(ring, unknowns, vec) for vec in vecs]
 
 
 def _check_compatible(rep1: CliffordRep, rep2: CliffordRep):
@@ -388,11 +496,12 @@ def _check_compatible(rep1: CliffordRep, rep2: CliffordRep):
 def _intertwiner_dim(rep1: CliffordRep, rep2: CliffordRep,
                      max_base_degree: int = 0) -> int:
     """The length of ``intertwiner_basis``: unknowns minus the system's rank."""
-    rows, unknowns = _hom_system(rep1, rep2, max_base_degree)
     field = rep1.ring.field
-    if isinstance(rows, np.ndarray):  # linalg.rank takes lists only
-        return len(unknowns) - len(linalg.rref_modp(rows, field.p)[1])
-    return len(unknowns) - linalg.rank(field, rows)
+    if not _spins(rep1, rep2):
+        rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
+        return len(unknowns) - linalg.rank(field, rows)
+    system = _spun_system(*_generator_arrays(rep1, rep2), field.p)[0]
+    return system.shape[1] - len(linalg.rref_modp(system, field.p)[1])
 
 
 def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
@@ -430,43 +539,40 @@ _EXHAUSTIVE_DIM = 3
 _EXHAUSTIVE_P = 13
 
 
-def _search_invertible(field, basis: list[PolyMatrix], seed: int, trials: int):
-    """Look for an invertible element in the span of an intertwiner basis.
+def _search_invertible(field, vecs: list, is_unit, seed: int, trials: int):
+    """Look for an invertible element in the span of intertwiner basis
+    vectors, combined as vectors of scalars; is_unit decides one.
 
     Exhaustive over GF(p) when the space is tiny (dim <= _EXHAUSTIVE_DIM,
     p <= _EXHAUSTIVE_P), a deterministic singleton check in dimension one,
-    otherwise seeded random combinations.  Returns (theta, trials_used) or
+    otherwise seeded random combinations.  Returns (vector, trials_used) or
     (None, trials_used).
     """
-    dim = len(basis)
-    ring = basis[0][0][0].ring
+    dim = len(vecs)
 
     def combine(coeffs):
-        # zip(*basis) walks the rows, zip(*rows) one entry across the basis
-        return [[sum((x.scale(c) for c, x in zip(coeffs, entries) if c), ring.zero())
-                 for entries in zip(*rows)] for rows in zip(*basis)]
+        return linalg.mat_mul(field, [list(coeffs)], vecs)[0]
 
     if dim == 1:
-        theta = basis[0]
-        return (theta if _is_unit_matrix(theta) else None), 1
+        return (vecs[0] if is_unit(vecs[0]) else None), 1
     if field.kind == "GF" and dim <= _EXHAUSTIVE_DIM and field.p <= _EXHAUSTIVE_P:
         count = 0
         for coeffs in itertools.product(range(field.p), repeat=dim):
             if not any(coeffs):
                 continue
             count += 1
-            theta = combine(coeffs)
-            if _is_unit_matrix(theta):
-                return theta, count
+            vec = combine(coeffs)
+            if is_unit(vec):
+                return vec, count
         return None, count
     rng = random.Random(seed)
     for k in range(trials):
         coeffs = _random_scalars(field, rng, dim)
         if not any(coeffs):
             continue
-        theta = combine(coeffs)
-        if _is_unit_matrix(theta):
-            return theta, k + 1
+        vec = combine(coeffs)
+        if is_unit(vec):
+            return vec, k + 1
     return None, trials
 
 
@@ -483,16 +589,19 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     nonzero space with no invertible element found stays Inconclusive: over
     a finite field the sampled span may simply have missed the units, and
     we never promote absence of evidence to Inequivalent.
+
+    The search combines basis vectors of scalars and builds the Poly theta
+    of the answer only; without base variables a rank decides each one.
     """
     _check_compatible(rep1, rep2)
     if trials < 0:
         raise InputError(f"trial budget must be >= 0, got {trials}")
     if rep1.size != rep2.size:
         return EquivalenceResult("inequivalent", reason="size mismatch")
-    basis_12 = intertwiner_basis(rep1, rep2, max_base_degree)
-    dims = (len(basis_12), _intertwiner_dim(rep2, rep1, max_base_degree))
+    ring = rep1.ring
+    vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
+    dims = (len(vecs), _intertwiner_dim(rep2, rep1, max_base_degree))
     if not all(dims):
-        ring = rep1.ring
         if not ring.base_count:
             return EquivalenceResult(
                 "inequivalent", dims=dims,
@@ -505,15 +614,25 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
                     "inequivalent", dims=dims, seed=seed,
                     reason=f"the fibers at {at} admit no intertwiner")
         return EquivalenceResult(
-            "inconclusive", dims=dims, basis=basis_12, seed=seed,
+            "inconclusive", dims=dims, basis=_thetas(ring, unknowns, vecs), seed=seed,
             reason=f"no intertwiner of base degree <= max_base_degree="
                    f"{max_base_degree} in at least one direction, but the "
                    f"fibers at {_PROBES} seeded base points admit intertwiners")
-    theta, used = _search_invertible(rep1.ring.field, basis_12, seed, trials)
-    if theta is not None:
+    size = rep1.size
+    if ring.base_count:
+        def is_unit(vec):
+            return _is_unit_matrix(_vector_to_theta(ring, unknowns, vec))
+    else:
+        def is_unit(vec):
+            square = [vec[i:i + size] for i in range(0, size * size, size)]
+            return linalg.rank(ring.field, square) == size
+    vec, used = _search_invertible(ring.field, vecs, is_unit, seed, trials)
+    if vec is not None:
+        theta = _vector_to_theta(ring, unknowns, vec)
         return EquivalenceResult("equivalent", theta=theta, dims=dims,
                                  seed=seed, trials=used)
-    return EquivalenceResult("inconclusive", dims=dims, basis=basis_12,
+    return EquivalenceResult("inconclusive", dims=dims,
+                             basis=_thetas(ring, unknowns, vecs),
                              reason="nonzero intertwiner space, no invertible "
                                     "element found within the trial budget",
                              seed=seed, trials=used)

@@ -11,12 +11,12 @@ longer costs more than the list loop.  There is no separate integer path:
 QQ matrices are eliminated exactly over Fractions.
 
 Arrays of residues have one product, ``matmul_modp``: exact mod p for
-int64 entries below 2^31 (it splits one factor into 16-bit halves so that
-no int64 sum overflows) and for Python ints in an object array above.
-``modp_mat_pow`` is a loop over it.  Callers that keep whole matrix sets
-as arrays (the batched search screen, the structure kernels of
-``clifford`` above their size cut) call ``matmul_modp`` and ``rref_modp``
-directly; ``nullspace`` takes such an array as well.
+int64 entries below 2^31 (one product while no sum of products can reach
+2^63, else one factor split into 16-bit halves) and for Python ints in an
+object array above.  ``modp_mat_pow`` is a loop over it.  Callers that
+keep whole matrix sets as arrays (the batched search screen, the structure
+kernels of ``clifford`` above their size cut) call ``matmul_modp`` and
+``rref_modp`` directly.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import numpy as np
 from .fields import Field
 
 _NP_LIMIT = 1 << 31  # products must fit in int64
+_INT64_BOUND = 1 << 63
 # Measured per rank call at GF(101): lists win up to 8x8, numpy from 16x16.
 _LIST_MAX_CELLS = 64
 
@@ -36,12 +37,9 @@ def modp_dtype(p: int):
     return np.int64 if p < _NP_LIMIT else object
 
 
-def _reduce(field: Field, mat):
-    """(reduced rows, pivot columns, signed pivot product) of a list matrix,
-    or of an int64 array over GF(p < 2^31), which is reduced in place; the
-    rows are an int64 array when the numpy twin ran, else lists."""
-    if isinstance(mat, np.ndarray):
-        return rref_modp(mat, field.p)
+def _reduce(field: Field, mat: list):
+    """(reduced rows, pivot columns, signed pivot product) of a list matrix;
+    the rows are an int64 array when the numpy twin ran, else lists."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if field.kind == "GF" and field.p < _NP_LIMIT and rows * cols > _LIST_MAX_CELLS:
@@ -100,7 +98,7 @@ def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     only the pivot column and pivot row are reduced as they are read.
     """
     rows, cols = a.shape
-    lazy = (cols + 1) * p * p < 1 << 63
+    lazy = (cols + 1) * p * p < _INT64_BOUND
     if not lazy:
         np.remainder(a, p, out=a)
     r = 0
@@ -156,14 +154,9 @@ def rank(field: Field, mat: list) -> int:
 rank_field_matrix = rank
 
 
-def nullspace(field: Field, mat) -> list[list]:
-    """Canonical right-nullspace basis (one vector per free column) of a
-    list matrix, or of an int64 array over GF(p < 2^31), which it reduces
-    in place."""
-    if isinstance(mat, np.ndarray):
-        cols = mat.shape[1]
-    else:
-        cols = len(mat[0]) if mat else 0
+def nullspace(field: Field, mat: list) -> list[list]:
+    """Canonical right-nullspace basis (one vector per free column)."""
+    cols = len(mat[0]) if mat else 0
     reduced, pivots, _ = _reduce(field, mat)
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
@@ -217,11 +210,14 @@ def mat_mul(field: Field, a: list, b: list) -> list:
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, batched over leading axes, for entries in [0, p).
 
-    In int64 (p < 2^31) b is split as 2^16 * (b >> 16) + (b & 0xFFFF): each
-    half's products are below 2^47, so their sums stay exact for inner
-    dimension below 2^16.  An object array of Python ints passes through
-    the same expression.
+    One product when it is exact: in an object array of Python ints, and in
+    int64 when every sum of products is below 2^63, i.e. inner * (p-1)^2 <
+    2^63.  Past that bound (p near 2^31) b is split as 2^16 * (b >> 16) +
+    (b & 0xFFFF): each half's products are below 2^47, so their sums stay
+    exact for inner dimension below 2^16.
     """
+    if a.dtype == object or a.shape[-1] * (p - 1) ** 2 < _INT64_BOUND:
+        return a @ b % p
     return ((a @ (b >> 16)) % p * 65536 + a @ (b & 0xFFFF)) % p
 
 

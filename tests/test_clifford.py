@@ -544,6 +544,72 @@ def test_array_kernels_match_list_builders(data, p, nvars):
         assert clifford._spin(field, arrays, vec) == clifford._spin(field, mats, vec)
 
 
+def list_hom_basis(rep1, rep2):
+    """Hom(rep1, rep2) from the list ``intertwiner_system``: its canonical
+    nullspace as Poly matrices."""
+    field = rep1.ring.field
+    rows, unknowns = clifford.intertwiner_system(rep1, rep2)
+    vecs = linalg.nullspace(field, rows or [[field.zero] * len(unknowns)])
+    return [clifford._vector_to_theta(rep1.ring, unknowns, v) for v in vecs]
+
+
+def hom_family(data, field):
+    """Reps of one form: a clock and the clock with its roots permuted
+    (repeated roots allowed, so some are non-reduced), a gamma rep with its
+    conjugate, sum and twists up to 5, or sums of up to 9 copies of a
+    hyperplane rep.  Twists and sums need one seed per summand."""
+    kind = data.draw(st.sampled_from(["clock", "gamma", "hyperplane"]))
+    if kind == "clock":
+        roots = data.draw(st.lists(st.integers(0, 6), min_size=3, max_size=4))
+        rep = clock_rep(field, roots)
+        permuted = clock_rep(field, data.draw(st.permutations(roots)))
+        return [rep, permuted, cr.direct_sum(rep, permuted),
+                cr.twist_by_free(permuted, 2)]
+    if kind == "gamma":
+        coeffs = data.draw(st.lists(st.integers(1, 6), min_size=3, max_size=4))
+        rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, len(coeffs)), coeffs)
+        conj = cr.conjugate(rep, data.draw(sparse_invertible(field, rep.size)))
+        return [rep, conj, cr.direct_sum(rep, conj),
+                cr.twist_by_free(conj, data.draw(st.integers(2, 5)))]
+    coeffs = data.draw(st.lists(st.integers(0, 6), min_size=3, max_size=3)
+                       .filter(any))
+    ring = cr.PolyRing(field, 0, 3)
+    form = cr.parse_poly(" + ".join(f"{c}*y{i}" for i, c in enumerate(coeffs)), ring)
+    return [cr.twist_by_free(cr.hyperplane_rep(form), data.draw(st.integers(3, 9)))
+            for _ in range(2)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 101, 2**31 - 1]))
+def test_spun_hom_matches_the_list_system(data, p):
+    """Above the size cut Hom is solved for the images of M1's seeds; the
+    dimension and canonical basis must be those of the Kronecker-form list
+    system, zero spaces and many seeds included."""
+    field = cr.prime_field(p)
+    family = hom_family(data, field)
+    for a in family:
+        for b in family:
+            if a.size * b.size > 160:
+                continue
+            assert clifford._uses_arrays(field, a.size * b.size)
+            expected = list_hom_basis(a, b)
+            assert cr.hom_space_dim(a, b) == len(expected)
+            assert cr.intertwiner_basis(a, b) == expected
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+def test_spun_hom_of_permuted_and_repeated_clock_roots(p):
+    field = cr.prime_field(p)
+    swapped = clock_rep(field, [2, 1, 3, 4])
+    assert cr.hom_space_dim(clock_rep(field, [1, 2, 3, 4]), swapped) == 0
+    assert cr.intertwiner_basis(swapped, clock_rep(field, [1, 2, 4, 3])) == []
+    # a non-reduced clock: the rotated roots give a one-dimensional Hom
+    nonreduced, rotated = clock_rep(field, [1, 1, 2]), clock_rep(field, [1, 2, 1])
+    expected = list_hom_basis(nonreduced, rotated)
+    assert len(expected) == cr.hom_space_dim(nonreduced, rotated) == 1
+    assert cr.intertwiner_basis(nonreduced, rotated) == expected
+
+
 def test_qq_algebra_falls_back_when_the_proof_prime_fails(qq):
     # mod 2^31 - 1 one pair of generators squares to 0, or a denominator
     # cannot be inverted: no proof, so the exact span decides

@@ -56,6 +56,7 @@ def build_corpus(root):
         "gamma": gamma,
         "conj": conj,
         "sum": cr.direct_sum(gamma, conj),
+        "twist2": cr.twist_by_free(gamma, 2),
         "gamma-qq": cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 6),
                                          [1, -1, 2, -2, 3, -3]),
     }
@@ -92,7 +93,8 @@ def cases():
                          "--seed", seed]))
     out.append(("irreducible-t8-gamma-qq",
                 ["irreducible", "@t8/gamma-qq.pencil", "--json"]))
-    for a, b in (("gamma", "conj"), ("conj", "gamma"), ("sum", "sum")):
+    for a, b in (("gamma", "conj"), ("conj", "gamma"), ("sum", "sum"),
+                 ("sum", "twist2"), ("twist2", "sum")):
         out.append((f"equiv-t8-{a}-{b}",
                     ["equiv", f"@t8/{a}.pencil", f"@t8/{b}.pencil", "--json",
                      "--seed", "3"]))
@@ -256,6 +258,10 @@ GOLDEN = {
         (0, "ccb7f896d8407af3769d906f177eb28d57ca1d18821f0350e6965aed9b4fb5d5"),
     "equiv-t8-sum-sum":
         (0, "35971e48b123694ce225610e68e4a3ea13fdb511fc1d8016ef4376fe0414a0ae"),
+    "equiv-t8-sum-twist2":
+        (0, "55ca466ac4f0f37b9555d5b09fe8b6587e2437c39dfa8626f49cb7cad0e6f36b"),
+    "equiv-t8-twist2-sum":
+        (0, "4dafc215ef3619960c7b10819efbafb5a919c713f43e9acd56cb0981d4c43fae"),
     "corpus-s0":
         (1, "428be093c1bf0c3852ed680797da3b4f5ce00379c63f5a2995921732751e53cd"),
     "corpus-s3":

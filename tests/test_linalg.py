@@ -152,6 +152,27 @@ def test_array_product_is_exact(p):
     assert cube.tolist() == [int_product(int_product(x, x, p), x, p) for x in batch]
 
 
+@pytest.mark.parametrize("p, inner", [
+    ((1 << 31) - 1, 2),  # 2 * (p - 1)^2 < 2^63: one int64 product
+    ((1 << 31) - 1, 3),  # past the bound: the 16-bit split
+    (1073741789, 8),     # the largest prime below 2^30, on each side
+    (1073741789, 9),
+    (101, 64),
+])
+def test_array_product_on_both_sides_of_the_int64_bound(p, inner):
+    # all entries p - 1 make every sum of products as large as it can be
+    single = inner * (p - 1) ** 2 < 1 << 63
+    assert single == (inner in (2, 8, 64))
+    rng = random.Random(inner)
+    rows = [[p - 1] * inner] + [[rng.randrange(p) for _ in range(inner)]
+                                for _ in range(3)]
+    cols = [[p - 1] * 5] * inner
+    got = linalg.matmul_modp(np.array(rows, dtype=np.int64),
+                             np.array(cols, dtype=np.int64), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == int_product(rows, cols, p)
+
+
 def all_fractions(value):
     if isinstance(value, list):
         return all(map(all_fractions, value))

@@ -126,7 +126,10 @@ def _parse_assignment(text: str) -> dict:
         if "=" not in chunk:
             raise InputError(f"bad assignment {chunk!r}; expected name=value")
         name, value = chunk.split("=", 1)
-        out[name.strip()] = value.strip()
+        name = name.strip()
+        if name in out:
+            raise InputError(f"{name!r} is assigned twice")
+        out[name] = value.strip()
     if not out:
         raise InputError("empty assignment")
     return out

@@ -476,6 +476,8 @@ def intertwiner_basis(rep1: CliffordRep, rep2: CliffordRep,
                       max_base_degree: int = 0) -> list[PolyMatrix]:
     """Basis of the space of theta (as Poly matrices) intertwining rep1 into rep2."""
     _check_compatible(rep1, rep2)
+    if max_base_degree < 0:
+        raise InputError(f"base degree bound must be >= 0, got {max_base_degree}")
     vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
     return _thetas(rep1.ring, unknowns, vecs)
 
@@ -596,6 +598,8 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     _check_compatible(rep1, rep2)
     if trials < 0:
         raise InputError(f"trial budget must be >= 0, got {trials}")
+    if max_base_degree < 0:
+        raise InputError(f"base degree bound must be >= 0, got {max_base_degree}")
     if rep1.size != rep2.size:
         return EquivalenceResult("inequivalent", reason="size mismatch")
     ring = rep1.ring

@@ -5,18 +5,17 @@ scalars.  Matrices are lists of row lists of scalars (Fractions over QQ,
 residues over GF(p)).  One Gauss-Jordan elimination, ``_eliminate``, gives
 the reduced rows, the pivot columns and the signed pivot product, and
 ``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` read their answers
-off it.  Its numpy twin ``rref_modp`` takes over for GF(p) with p < 2^31
-on matrices of more than ``_LIST_MAX_CELLS`` cells, where array set-up no
-longer costs more than the list loop.  There is no separate integer path:
-QQ matrices are eliminated exactly over Fractions.
+off it, for every field and size.  There is no separate integer path: QQ
+matrices are eliminated exactly over Fractions.
 
 Arrays of residues have one product, ``matmul_modp``: exact mod p for
 int64 entries below 2^31 (one product while no sum of products can reach
 2^63, else one factor split into 16-bit halves) and for Python ints in an
-object array above.  ``modp_mat_pow`` is a loop over it.  Callers that
-keep whole matrix sets as arrays (the batched search screen, the structure
-kernels of ``clifford`` above their size cut) call ``matmul_modp`` and
-``rref_modp`` directly.
+object array above.  ``modp_mat_pow`` is a loop over it.  ``rref_modp`` is
+the numpy twin of ``_eliminate`` on int64 arrays.  Only callers that
+already hold arrays call these: the batched search screen, and the
+structure kernels of ``clifford``, which alone decide when a GF(p) matrix
+becomes an array.
 """
 from __future__ import annotations
 
@@ -28,23 +27,11 @@ from .fields import Field
 
 _NP_LIMIT = 1 << 31  # products must fit in int64
 _INT64_BOUND = 1 << 63
-# Measured per rank call at GF(101): lists win up to 8x8, numpy from 16x16.
-_LIST_MAX_CELLS = 64
 
 
 def modp_dtype(p: int):
     """Array dtype for residues mod p whose pairwise products stay exact."""
     return np.int64 if p < _NP_LIMIT else object
-
-
-def _reduce(field: Field, mat: list):
-    """(reduced rows, pivot columns, signed pivot product) of a list matrix;
-    the rows are an int64 array when the numpy twin ran, else lists."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if field.kind == "GF" and field.p < _NP_LIMIT and rows * cols > _LIST_MAX_CELLS:
-        return rref_modp(np.array(mat, dtype=np.int64), field.p)
-    return _eliminate(field, mat)
 
 
 def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
@@ -140,14 +127,12 @@ def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
 
 def rref(field: Field, mat: list) -> tuple[list, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    reduced, pivots, _ = _reduce(field, mat)
-    if isinstance(reduced, np.ndarray):
-        reduced = reduced.tolist()
+    reduced, pivots, _ = _eliminate(field, mat)
     return reduced, pivots
 
 
 def rank(field: Field, mat: list) -> int:
-    return len(_reduce(field, mat)[1])
+    return len(_eliminate(field, mat)[1])
 
 
 # The benchmark tracer (perfbench/tracer.py) still wraps this name.
@@ -157,27 +142,23 @@ rank_field_matrix = rank
 def nullspace(field: Field, mat: list) -> list[list]:
     """Canonical right-nullspace basis (one vector per free column)."""
     cols = len(mat[0]) if mat else 0
-    reduced, pivots, _ = _reduce(field, mat)
+    reduced, pivots, _ = _eliminate(field, mat)
     pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    if isinstance(reduced, np.ndarray):
-        # only the free columns of the pivot rows are read
-        reduced = reduced[:len(pivots), free].tolist()
-    else:
-        reduced = [[row[j] for j in free] for row in reduced[:len(pivots)]]
     basis = []
-    for k, j in enumerate(free):
+    for j in range(cols):
+        if j in pivot_set:
+            continue
         v = [field.zero] * cols
         v[j] = field.one
         for row, pc in zip(reduced, pivots):
-            v[pc] = field.neg(row[k])
+            v[pc] = field.neg(row[j])
         basis.append(v)
     return basis
 
 
 def det(field: Field, mat: list):
     """Determinant of a square matrix: its signed pivot product, or zero."""
-    _, pivots, product = _reduce(field, mat)
+    _, pivots, product = _eliminate(field, mat)
     return product if len(pivots) == len(mat) else field.zero
 
 

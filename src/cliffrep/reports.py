@@ -29,11 +29,8 @@ class CheckRecord:
     witness: object = None      # JSON-serializable payload
     timing_ms: float | None = None
 
-    def to_payload(self, include_timing: bool = False) -> dict:
-        out = {"name": self.name, "status": self.status, "witness": self.witness}
-        if include_timing:
-            out["timing_ms"] = self.timing_ms
-        return out
+    def to_payload(self) -> dict:
+        return {"name": self.name, "status": self.status, "witness": self.witness}
 
 
 @dataclass
@@ -66,7 +63,7 @@ class Report:
     def exit_code(self) -> int:
         return _EXIT_FOR_STATUS.get(self.verdict, 2)
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "tool": TOOL_NAME,
             "version": TOOL_VERSION,
@@ -74,7 +71,7 @@ class Report:
             "input_digest": self.input_digest,
             "seed": self.seed,
             "budgets": self.budgets,
-            "checks": [r.to_payload(include_timing) for r in self.records],
+            "checks": [r.to_payload() for r in self.records],
             "verdict": self.verdict,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -686,6 +686,14 @@ def test_equivalence_with_base_parameters(qq):
     assert result.verdict == "equivalent"
 
 
+def test_negative_base_degree_is_an_input_error(qq):
+    for rep in (parametrized_quadric(qq), hyperplane_22(qq)):
+        with pytest.raises(InputError):
+            cr.equivalence_test(rep, rep, max_base_degree=-1)
+        with pytest.raises(InputError):
+            cr.intertwiner_basis(rep, rep, max_base_degree=-1)
+
+
 def test_base_intertwiners_intertwine(qq):
     rep = parametrized_quadric(qq)
     other = cr.conjugate(rep, [[qq.of(1), qq.of(2)], [qq.of(0), qq.of(1)]])

@@ -174,6 +174,10 @@ def test_cli_specialize(tmp_path, capsys):
     fiber, _ = cr.read_pencil(str(out_path))
     assert fiber.ring.base_count == 0
     assert cr.verify_relation(fiber).passed
+    # a name given twice, and a negative base-degree bound, are input errors
+    assert cli_dispatch(["specialize", str(src), "--at", "t1=2,t1=3"]) == 3
+    assert cli_dispatch(["equiv", str(src), str(src), "--max-degree", "-1",
+                         "--json"]) == 3
     capsys.readouterr()
 
 
@@ -287,6 +291,7 @@ def test_cli_input_errors(tmp_path, capsys):
         assert cli_dispatch(search + ["--d", d, "--t", t]) == 3
     assert cli_dispatch(search + ["--d", "2", "--t", "2", "--budget", "-5"]) == 3
     assert cli_dispatch(["equiv", str(line), str(line), "--budget", "-1"]) == 3
+    assert cli_dispatch(["equiv", str(line), str(line), "--max-degree", "-1"]) == 3
     assert cli_dispatch(["irreducible", str(line), "--budget", "-1"]) == 3
     # a modulus that is no prime is an input error, not a failed certificate
     clock = tmp_path / "clock.pencil"

@@ -68,7 +68,8 @@ def cofactor_det(field, mat):
     return total
 
 
-# 1..12 rows and columns: shapes on both sides of the 64-cell list cut-off
+# 1..12 rows and columns: the array kernels of clifford rely on the twin
+# giving the list elimination's rows, pivots and product on every shape
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), p=st.sampled_from(TWIN_PRIMES),
        rows=st.integers(1, 12), cols=st.integers(1, 12))
@@ -80,6 +81,55 @@ def test_eliminate_matches_numpy_twin(data, p, rows, cols):
     assert arr.tolist() == reduced
     assert twin_pivots == pivots
     assert twin_product == product
+
+
+class _NoArrays:
+    """Stands in for numpy and for rref_modp: any use fails the test."""
+    def __getattr__(self, name):
+        raise AssertionError(f"the list API used numpy.{name}")
+
+    def __call__(self, *args):
+        raise AssertionError("the list API called rref_modp")
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("rank_drop", [0, 3])
+def test_list_api_never_hands_off_to_arrays(monkeypatch, n, rank_drop):
+    # sizes where an array elimination might pay: the list API must still
+    # answer on lists alone, and agree with the twin on the same input
+    p = 101
+    field = cr.prime_field(p)
+    rng = random.Random(n + rank_drop)
+
+    def block(rows, cols):
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+    mat = block(n, n)
+    if rank_drop:
+        mat = linalg.mat_mul(field, block(n, n - rank_drop), block(n - rank_drop, n))
+    augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref_modp", _NoArrays())
+        patch.setattr(linalg, "np", _NoArrays())
+        got = (linalg.rref(field, mat), linalg.rank(field, mat),
+               linalg.nullspace(field, mat), linalg.det(field, mat),
+               linalg.inv(field, mat))
+    arr, pivots, product = linalg.rref_modp(np.array(mat, dtype=np.int64), p)
+    rows = arr.tolist()
+    kernel = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [0] * n
+        v[j] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[j] % p
+        kernel.append(v)
+    inverse = linalg.rref_modp(np.array(augmented, dtype=np.int64), p)[0][:, n:]
+    full = len(pivots) == n
+    assert len(pivots) == n - rank_drop
+    assert got == ((rows, pivots), len(pivots), kernel, product if full else 0,
+                   inverse.tolist() if full else None)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -311,10 +311,13 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
 
 # Kernels over GF(p < 2^31) switch to int64 arrays when theta (t1 x t2) or
 # the A_i (t x t) have this many entries, and a QQ algebra span first tries
-# its mod-p proof.  Measured in process at GF(101): 2x2 reps are faster on
-# lists (irreducibility 112 vs 123 us, equivalence 214 vs 236 us), 3x3 reps
-# on arrays (422 vs 485 us, 493 vs 525 us), and the gap widens with t.
-# random_search dedupes its 2x2 hits with equivalence_test, on lists.
+# its mod-p proof.  Measured in process over GF(3), GF(7) and GF(101), five
+# blocks of 200 calls each, min-max ms, lists vs arrays: equivalence_test of
+# the 2x2 gamma rep of y0^2 + 2*y1^2 against a conjugate 0.17-0.27 vs
+# 0.74-1.03, its irreducibility_check 0.06-0.12 vs 0.18-0.38; a 3x3 clock
+# cubic against a conjugate 0.87-1.35 vs 0.78-1.43; the 4x4 gamma rep
+# against a conjugate at GF(101) 3.7-4.0 vs 1.9-2.0.  random_search dedupes
+# its 2x2 hits with equivalence_test, on lists.
 _ARRAY_MIN_CELLS = 9
 
 # A QQ algebra span is first computed mod this prime.  Reduction mod p can
@@ -479,11 +482,7 @@ def intertwiner_basis(rep1: CliffordRep, rep2: CliffordRep,
     if max_base_degree < 0:
         raise InputError(f"base degree bound must be >= 0, got {max_base_degree}")
     vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
-    return _thetas(rep1.ring, unknowns, vecs)
-
-
-def _thetas(ring: PolyRing, unknowns, vecs) -> list[PolyMatrix]:
-    return [_vector_to_theta(ring, unknowns, vec) for vec in vecs]
+    return [_vector_to_theta(rep1.ring, unknowns, vec) for vec in vecs]
 
 
 def _check_compatible(rep1: CliffordRep, rep2: CliffordRep):
@@ -520,7 +519,6 @@ class EquivalenceResult:
     verdict: str                      # equivalent | inequivalent | inconclusive
     theta: PolyMatrix | None = None
     dims: tuple[int, int] = (0, 0)    # intertwiner dims rep1->rep2, rep2->rep1
-    basis: list | None = None         # kept for inconclusive outcomes
     reason: str = ""
     seed: int | None = None
     trials: int = 0
@@ -536,46 +534,33 @@ def _is_unit_matrix(theta: PolyMatrix) -> bool:
     return (not d.is_zero()) and d.is_constant()
 
 
-# _search_invertible enumerates the whole span up to this dimension and p
-_EXHAUSTIVE_DIM = 3
-_EXHAUSTIVE_P = 13
-
-
 def _search_invertible(field, vecs: list, is_unit, seed: int, trials: int):
     """Look for an invertible element in the span of intertwiner basis
     vectors, combined as vectors of scalars; is_unit decides one.
 
-    Exhaustive over GF(p) when the space is tiny (dim <= _EXHAUSTIVE_DIM,
-    p <= _EXHAUSTIVE_P), a deterministic singleton check in dimension one,
-    otherwise seeded random combinations.  Returns (vector, trials_used) or
-    (None, trials_used).
+    A 1-dimensional span is decided by its basis vector.  Over GF(p) a span
+    of at most trials nonzero elements is enumerated whole; any other span
+    gets trials seeded random combinations.  Returns (vector or None,
+    trials_used, covered), covered meaning that every nonzero element of
+    the span is a multiple of one checked.
     """
     dim = len(vecs)
-
-    def combine(coeffs):
-        return linalg.mat_mul(field, [list(coeffs)], vecs)[0]
-
     if dim == 1:
-        return (vecs[0] if is_unit(vecs[0]) else None), 1
-    if field.kind == "GF" and dim <= _EXHAUSTIVE_DIM and field.p <= _EXHAUSTIVE_P:
-        count = 0
-        for coeffs in itertools.product(range(field.p), repeat=dim):
-            if not any(coeffs):
-                continue
-            count += 1
-            vec = combine(coeffs)
+        return (vecs[0] if is_unit(vecs[0]) else None), 1, True
+    covered = field.kind == "GF" and field.p ** dim - 1 <= trials
+    if covered:  # every nonzero coefficient vector, in product order
+        draws = itertools.islice(itertools.product(range(field.p), repeat=dim), 1, None)
+    else:
+        rng = random.Random(seed)
+        draws = (_random_scalars(field, rng, dim) for _ in range(trials))
+    used = 0
+    for coeffs in draws:
+        used += 1
+        if any(coeffs):
+            vec = linalg.mat_mul(field, [list(coeffs)], vecs)[0]
             if is_unit(vec):
-                return vec, count
-        return None, count
-    rng = random.Random(seed)
-    for k in range(trials):
-        coeffs = _random_scalars(field, rng, dim)
-        if not any(coeffs):
-            continue
-        vec = combine(coeffs)
-        if is_unit(vec):
-            return vec, k + 1
-    return None, trials
+                return vec, used, covered
+    return None, used, covered
 
 
 def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
@@ -583,14 +568,16 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     """Decide equivalence by solving for an invertible intertwiner.
 
     Over a plain field a zero intertwiner space in either direction rules
-    equivalence out.  Over a base ring the space searched is bounded by
-    max_base_degree, so a zero one proves nothing by itself: Inequivalent
-    then needs a base point q, drawn from the seed, where the fibers admit
-    no intertwiner.  That is a proof, since theta in GL_t(k[t]) has a
-    constant determinant and theta(q) intertwines the fibers invertibly.  A
-    nonzero space with no invertible element found stays Inconclusive: over
-    a finite field the sampled span may simply have missed the units, and
-    we never promote absence of evidence to Inequivalent.
+    equivalence out, and so does a space the search covered without
+    meeting a unit: one of dimension 1, or one over GF(p) with at most
+    trials nonzero elements, enumerated whole.  Over a base ring the space
+    searched is bounded by max_base_degree, so neither proves anything by
+    itself: Inequivalent then needs a base point q, drawn from the seed,
+    where the fibers admit no intertwiner.  That is a proof, since theta in
+    GL_t(k[t]) has a constant determinant and theta(q) intertwines the
+    fibers invertibly.  A nonzero space whose sampled elements are all
+    singular stays Inconclusive: the sample may simply have missed the
+    units, and we never promote absence of evidence to Inequivalent.
 
     The search combines basis vectors of scalars and builds the Poly theta
     of the answer only; without base variables a rank decides each one.
@@ -618,7 +605,7 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
                     "inequivalent", dims=dims, seed=seed,
                     reason=f"the fibers at {at} admit no intertwiner")
         return EquivalenceResult(
-            "inconclusive", dims=dims, basis=_thetas(ring, unknowns, vecs), seed=seed,
+            "inconclusive", dims=dims, seed=seed,
             reason=f"no intertwiner of base degree <= max_base_degree="
                    f"{max_base_degree} in at least one direction, but the "
                    f"fibers at {_PROBES} seeded base points admit intertwiners")
@@ -630,13 +617,17 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
         def is_unit(vec):
             square = [vec[i:i + size] for i in range(0, size * size, size)]
             return linalg.rank(ring.field, square) == size
-    vec, used = _search_invertible(ring.field, vecs, is_unit, seed, trials)
+    vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
     if vec is not None:
         theta = _vector_to_theta(ring, unknowns, vec)
         return EquivalenceResult("equivalent", theta=theta, dims=dims,
                                  seed=seed, trials=used)
+    if covered and not ring.base_count:
+        return EquivalenceResult(
+            "inequivalent", dims=dims, seed=seed, trials=used,
+            reason=f"intertwiner dims {dims}: the {used} element(s) checked "
+                   f"cover the span up to scalars and all are singular")
     return EquivalenceResult("inconclusive", dims=dims,
-                             basis=_thetas(ring, unknowns, vecs),
                              reason="nonzero intertwiner space, no invertible "
                                     "element found within the trial budget",
                              seed=seed, trials=used)

@@ -235,8 +235,9 @@ def gamma_generators(field: Field, coeffs: list) -> list:
 def gamma_quadric_rep(ring: PolyRing, coeffs) -> CliffordRep:
     """Representation of the diagonal quadric sum(a_i * y_i^2).
 
-    Size is 2^ceil((n+1)/2); characteristic 2 and zero coefficients are
-    rejected.  The relation check compares the coefficient matrices G_i^2
+    With k = n + 1 fiber variables y0..yn the size is 2^ceil(k/2), so k =
+    1..7 give 2, 2, 4, 4, 8, 8, 16; characteristic 2 and zero coefficients
+    are rejected.  The relation check compares the coefficient matrices G_i^2
     and G_i*G_j + G_j*G_i of M^2 with those of f*I, so it also proves that
     the generators square to the a_i and anticommute.
     """

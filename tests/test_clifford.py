@@ -338,7 +338,43 @@ def test_equivalence_inconclusive_case(qq):
     b = cr.CliffordRep(cr.extract([[y0, ring.zero()], [ring.zero(), -y0]]), f, 2)
     result = cr.equivalence_test(a, b, seed=1)
     assert result.verdict == "inconclusive"
-    assert result.basis is not None
+
+
+def test_equivalence_search_stays_within_budget():
+    # Hom(A+A, A+B) has dimension 2 and 13^2 - 1 = 168 nonzero elements,
+    # more than the budget, so they are drawn at random and prove nothing
+    a, b = (clock_rep(cr.prime_field(13), roots) for roots in ([1, 2, 3], [2, 1, 3]))
+    for seed in range(3):
+        result = cr.equivalence_test(cr.direct_sum(a, a), cr.direct_sum(a, b),
+                                     seed=seed, trials=64)
+        assert (result.verdict, result.dims) == ("inconclusive", (2, 2))
+        assert 1 <= result.trials <= 64
+
+
+def test_equivalence_by_a_covered_span():
+    gf7 = cr.prime_field(7)
+    # all 7^2 - 1 = 48 elements of Hom(A+A, A+B) fit the budget and are
+    # singular: a proof of inequivalence
+    a, b = (clock_rep(gf7, roots) for roots in ([1, 2, 3], [2, 1, 3]))
+    result = cr.equivalence_test(cr.direct_sum(a, a), cr.direct_sum(a, b), trials=64)
+    assert (result.verdict, result.dims, result.trials) == ("inequivalent", (2, 2), 48)
+    assert "(2, 2)" in result.reason and "48" in result.reason
+    # a budget below 48 draws at random and proves nothing
+    result = cr.equivalence_test(cr.direct_sum(a, a), cr.direct_sum(a, b), trials=47)
+    assert (result.verdict, result.trials) == ("inconclusive", 47)
+    # Hom(A+B, A+C) is spanned by the singular id_A + 0, over any field
+    for field in (gf7, cr.rationals()):
+        a, b, c = (clock_rep(field, roots)
+                   for roots in ([1, 2, 3, 4], [1, 2, 4, 3], [1, 3, 2, 4]))
+        result = cr.equivalence_test(cr.direct_sum(a, b), cr.direct_sum(a, c))
+        assert (result.verdict, result.dims, result.trials) == ("inequivalent", (1, 1), 1)
+    # over a base ring the span is bounded by max_base_degree: no proof
+    ring = cr.PolyRing(gf7, 1, 2)
+    a, b = (cr.clock_shift_rep(cr.SplitBinaryForm.from_roots(ring, roots))
+            for roots in ([1, 2, 3], [2, 1, 3]))
+    result = cr.equivalence_test(cr.direct_sum(a, a), cr.direct_sum(a, b),
+                                 max_base_degree=0)
+    assert (result.verdict, result.dims, result.trials) == ("inconclusive", (2, 2), 48)
 
 
 def test_equivalence_mismatch_errors(qq, block_rep_qq, clock3_gf7):

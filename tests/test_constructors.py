@@ -151,6 +151,14 @@ def test_gamma_four_variables(qq):
     assert rep7.size == 4
 
 
+@pytest.mark.parametrize("fiber_vars,size",
+                         [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 16)])
+def test_gamma_size_from_fiber_variables(fiber_vars, size):
+    # k fiber variables y0..y(k-1) give size 2^ceil(k/2)
+    ring = cr.PolyRing(cr.prime_field(101), 0, fiber_vars)
+    assert cr.gamma_quadric_rep(ring, range(1, fiber_vars + 1)).size == size
+
+
 def test_gamma_generators_anticommute_directly():
     field = cr.prime_field(11)
     coeffs = [field.of(c) for c in (1, 2, 3, 4, 5)]

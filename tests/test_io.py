@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,18 @@ def test_cli_verify(pencil_files, capsys):
     assert cli_dispatch(["verify", str(pencil_files["block"])]) == 0
     assert "pass" in capsys.readouterr().out
     assert cli_dispatch(["verify", str(pencil_files["bare"])]) == 1
+
+
+def test_cli_runs_as_a_module(pencil_files):
+    # python -m cliffrep.cli exits with the verdict, not silently with 0
+    src = str(pathlib.Path(cr.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "cliffrep.cli", "verify", str(pencil_files["bare"]), "--json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert json.loads(run.stdout)["verdict"] == "fail"
 
 
 def test_cli_det(pencil_files, capsys):

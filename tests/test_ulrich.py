@@ -256,6 +256,29 @@ def test_certificate_mf_only_needs_det_unit_times_f(qq):
         assert relation.witness.get("mf_only") is mf_only
 
 
+def test_certificate_rejects_inhomogeneous_form(qq):
+    ring = cr.PolyRing(qq, 0, 2)
+    rep = cr.CliffordRep(cr.extract([[ring.var("y0")]]),
+                         cr.parse_poly("y0^2 + y1", ring), 2)
+    cert = cr.ulrich_certificate(rep)
+    assert cert.report.verdict == "fail"
+    [relation] = cert.report.records
+    assert relation.name == "clifford-relation" and relation.status == "fail"
+    assert "homogeneous" in relation.witness["error"]
+
+
+def test_certificate_mf_only_probe_on_non_multiple_of_f(qq):
+    # det [[y0, y1], [y1, y0]] = y0^2 - y1^2 is no constant times f = y0^2
+    ring = cr.PolyRing(qq, 0, 2)
+    matrix = [[cr.parse_poly(s, ring) for s in row] for row in (("y0", "y1"), ("y1", "y0"))]
+    cert = cr.ulrich_certificate(cr.CliffordRep(cr.extract(matrix),
+                                                cr.parse_poly("y0^2", ring), 2))
+    assert cert.report.verdict == "fail"
+    [relation] = cert.report.records
+    assert relation.name == "clifford-relation" and relation.status == "fail"
+    assert "mf_only" not in relation.witness
+
+
 def test_certificate_nonreduced_clock(qq):
     rep = clock_rep(qq, [1, 1])
     cert = cr.ulrich_certificate(rep)

@@ -3,7 +3,8 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 canonical residues ``0 <= x < p`` (ints) over GF(p).  Every operation is
 exact; nothing in this package touches floating point.  Dense univariate
-polynomials over GF(p) get division and root finding (``gf_roots``).
+polynomials over GF(p) get division and root finding (``gf_roots``: the
+quadratic formula for degree <= 2, Cantor-Zassenhaus above it).
 """
 from __future__ import annotations
 
@@ -268,39 +269,60 @@ def _monic_gcd(a: list, b: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
+def _small_roots(h: list, p: int) -> list[int]:
+    """The distinct roots of a trimmed h of degree <= 2 over GF(p), p odd.
+
+    -h0/h1 for a line; for a quadric the quadratic formula, with Euler's
+    criterion on the discriminant and ``_tonelli_shanks`` for its root.
+    """
+    if len(h) < 3:
+        return [-h[0] * pow(h[1], -1, p) % p] if len(h) == 2 else []
+    c, b, a = h
+    disc = (b * b - 4 * a * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    root = _tonelli_shanks(disc, p) if disc else 0
+    inv = pow(2 * a, -1, p)
+    return sorted({(root - b) * inv % p, (-root - b) * inv % p})
+
+
 def gf_roots(coeffs: list, p: int) -> list[int] | range:
     """The distinct roots in GF(p) of sum_i coeffs[i] x^i, ascending.
 
     The zero polynomial vanishes everywhere: it gets range(p), not a list
-    of p elements.  Otherwise gcd(g, x^p - x) is
-    the product of x - c over the roots c, and Cantor-Zassenhaus splits it:
-    for a random a, gcd(h, (x + a)^((p-1)/2) - 1) keeps the roots with
-    c + a a nonzero square, about half of them.  The cost grows with
-    log p, not with p.  The draws of a come from a private generator and
-    the result is sorted, so it shows no trace of them.
+    of p elements.  For odd p a polynomial of degree <= 2 is solved by
+    formula.  Otherwise gcd(g, x^p - x) is the product of x - c over the
+    roots c, and Cantor-Zassenhaus splits it: for a random a,
+    gcd(h, (x + a)^((p-1)/2) - 1) keeps the roots with c + a a nonzero
+    square, about half of them.  Pieces of degree <= 2 are again solved by
+    formula, so only a piece of degree >= 3 draws an a.  The cost grows
+    with log p, not with p.  The draws of a come from a private generator
+    and the result is sorted, so it shows no trace of them.
     """
     g = _trim([c % p for c in coeffs])
     if not g:
         return range(p)
     if p == 2:  # (p - 1)/2 = 0 would split nothing
         return [x for x, value in ((0, g[0]), (1, sum(g) % 2)) if not value]
-    if len(g) == 1:
-        return []
+    if len(g) <= 3:
+        return _small_roots(g, p)
     pending = [_monic_gcd(g, _minus_monomial(_powmod([0, 1], p, g, p), 1, p), p)]
-    rng = random.Random(p)
+    rng = None
     roots = []
     while pending:
         h = pending.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-        elif len(h) > 2:
-            while True:
-                a = rng.randrange(p)
-                d = _monic_gcd(h, _minus_monomial(
-                    _powmod([a, 1], (p - 1) // 2, h, p), 0, p), p)
-                if 1 < len(d) < len(h):
-                    break
-            pending += [d, gf_divmod(h, d, p)[0]]
+        if len(h) <= 3:
+            roots += _small_roots(h, p)
+            continue
+        if rng is None:
+            rng = random.Random(p)
+        while True:
+            a = rng.randrange(p)
+            d = _monic_gcd(h, _minus_monomial(
+                _powmod([a, 1], (p - 1) // 2, h, p), 0, p), p)
+            if 1 < len(d) < len(h):
+                break
+        pending += [d, gf_divmod(h, d, p)[0]]
     return sorted(roots)
 
 

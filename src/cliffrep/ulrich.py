@@ -169,11 +169,18 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     On-hypersurface points come from univariate slices: fix all but one
     coordinate at random and visit the roots of f in the free one, in
     ascending order, found by ``gf_roots`` on the dense slice polynomial.
-    Points where the gradient of f vanishes are recorded as singular and
-    exempt from the corank assertion.  With one fiber variable V(f) is
-    empty, which raises at once the SampleBudgetSpent an exhausted budget
-    raises.
+    For a binary form the slice with fixed coordinate c != 0 is
+    c^d * f(x/c, 1), so its roots are c times those of f with the fixed
+    coordinate 1, found once per free slot; a slice with c = 0 is solved
+    as it stands.  Points where the gradient of f vanishes are recorded as
+    singular and exempt from the corank assertion.  With one fiber
+    variable V(f) is empty, which raises at once the SampleBudgetSpent an
+    exhausted budget raises.  A negative target or budget is an InputError.
     """
+    for name, value in (("on_target", on_target), ("off_target", off_target),
+                        ("max_tries", max_tries)):
+        if value < 0:
+            raise InputError(f"{name} must be >= 0, got {value}")
     if rep.ring.base_count:
         raise UnsupportedBase("specialize the base before sampling coranks")
     if not rep.verified:
@@ -201,6 +208,17 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
                   for row in stacks]
         return t - linalg.rank(field, scalar)
 
+    def slice_roots(free: int, point: list) -> list[int] | range:
+        # a 1 in the free slot makes each term's value its slice coefficient
+        slice_poly = [0] * (rep.d + 1)
+        for exp, c in f_terms:
+            slice_poly[exp[free]] += _term_at(exp, c, point, p)
+        return gf_roots(slice_poly, p)
+
+    # a binary form's slice with fixed coordinate c != 0 is c^d * f(x/c, 1):
+    # its roots are c times the roots at c = 1, found once per free slot
+    unit_roots = [slice_roots(i, [1, 1]) for i in range(2)] if n == 2 else None
+
     tries = 0
     while summary.off_points < off_target and tries < max_tries:
         tries += 1
@@ -216,12 +234,11 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     while summary.on_smooth < on_target and tries < max_tries:
         tries += 1
         free = rng.randrange(n)
-        # a 1 in the free slot makes each term's value its slice coefficient
         point = [1 if i == free else rng.randrange(p) for i in range(n)]
-        slice_poly = [0] * (rep.d + 1)
-        for exp, c in f_terms:
-            slice_poly[exp[free]] += _term_at(exp, c, point, p)
-        for x in gf_roots(slice_poly, p):
+        c = point[1 - free] if n == 2 else 0
+        roots = (sorted(c * x % p for x in unit_roots[free]) if c
+                 else slice_roots(free, point))
+        for x in roots:
             point[free] = x
             if not any(point):
                 continue  # the zero vector is no projective point

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,13 @@ def test_parse_field():
 
 
 def brute_force_roots(coeffs, p):
-    return [x for x in range(p)
-            if sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0]
+    def value(x):
+        out = 0
+        for c in reversed(coeffs):
+            out = (out * x + c) % p
+        return out
+
+    return [x for x in range(p) if value(x) == 0]
 
 
 def times(a, b, p):
@@ -128,8 +134,10 @@ def test_gf_roots_edge_cases():
     assert gf_roots(cubic, p) == [3, 17, 999983]
 
 
+# p = 2; p = 3 mod 4, where a square root is one power; p = 5 mod 8 and
+# p = 1 mod 8, where the loop of _tonelli_shanks runs once and longer
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 101]),
+@given(data=st.data(), p=st.sampled_from([2, 3, 7, 11, 5, 13, 101, 17, 97, 257]),
        kind=st.sampled_from(["dense", "product", "vanishing-factor"]))
 def test_gf_roots_match_brute_force(data, p, kind):
     residues = st.integers(-p, 2 * p)
@@ -143,6 +151,46 @@ def test_gf_roots_match_brute_force(data, p, kind):
         factor = data.draw(st.lists(residues, min_size=1, max_size=4))
         coeffs = times([0, p - 1] + [0] * (p - 2) + [1], [c % p for c in factor], p)
     assert list(gf_roots(coeffs, p)) == brute_force_roots(coeffs, p)
+
+
+# a non-square mod each prime: -1 for p = 3 mod 4, and 11 mod 1009, by
+# reciprocity, since 1009 = 1 mod 4 and 1009 = 8 mod 11 is a non-square mod 11
+NON_SQUARES = {1009: 11, 10007: -1, 1000003: -1}
+
+
+def irreducible_quadric(b, k, p):
+    """(x + b)^2 - n*k^2 for the non-square n, k != 0: its discriminant is 4*n*k^2."""
+    return [(b * b - NON_SQUARES[p] * k * k) % p, 2 * b % p, 1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from(sorted(NON_SQUARES)))
+def test_gf_roots_of_products_at_large_primes(data, p):
+    # too many elements to brute-force: check against the roots the product
+    # was built from, repeated ones included, times an optional root-free quadric
+    roots = data.draw(st.lists(st.integers(0, p - 1), max_size=6))
+    if roots:
+        roots += data.draw(st.lists(st.sampled_from(roots), max_size=3))
+    coeffs = [data.draw(st.integers(1, p - 1))]
+    for a in roots:
+        coeffs = times(coeffs, [-a % p, 1], p)
+    if data.draw(st.booleans()):
+        coeffs = times(coeffs, irreducible_quadric(
+            data.draw(st.integers(0, p - 1)), data.draw(st.integers(1, p - 1)), p), p)
+    assert gf_roots(coeffs, p) == sorted(set(roots))
+
+
+@pytest.mark.parametrize("p", sorted(NON_SQUARES))
+def test_gf_roots_of_quadrics_at_large_primes(p):
+    rng = random.Random(p)
+    for _ in range(50):
+        a, b, c, k = (rng.randrange(p), rng.randrange(p), rng.randrange(1, p),
+                      rng.randrange(1, p))
+        assert gf_roots([-a * c % p, c], p) == [a]
+        for quadric, roots in ((times([-a % p, 1], [-a % p, 1], p), [a]),  # zero
+                               (times([-a % p, 1], [-b % p, 1], p), sorted({a, b})),
+                               (irreducible_quadric(b, k, p), [])):  # a non-square
+            assert gf_roots([c * x % p for x in quadric], p) == roots
 
 
 def test_gf_divmod():

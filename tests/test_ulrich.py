@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 import cliffrep as cr
 from cliffrep import linalg
-from cliffrep.errors import BadPrime, InputError, UnsupportedBase
+from cliffrep.errors import BadPrime, InputError, SampleBudgetSpent, UnsupportedBase
 from conftest import block_quadric_rep, clock_rep, paper_f, paper_phi, quadric_ring
 
 
@@ -158,6 +159,62 @@ PINNED_PAYLOADS = {
 @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
 def test_corank_payload_pinned(name):
     assert pinned_sampling(name).to_payload() == PINNED_PAYLOADS[name]
+
+
+def ranked_case(name):
+    """(rep, sampling keywords) of one case whose ranked points are pinned."""
+    qq, gf7, gf101 = cr.rationals(), cr.prime_field(7), cr.prime_field(101)
+    return {
+        "clock_7": (clock_rep(gf7, [1, 2, 4]), {}),
+        "clock_101": (clock_rep(gf101, [3, 17, 55]), {}),
+        "clock_10007": (clock_rep(cr.prime_field(10007), [5, 1234, 9876]),
+                        {"prime": 10007}),
+        "quadric_7": (clock_rep(gf7, [2, 5]), {}),
+        "block_qq_1009": (block_quadric_rep(qq), {"prime": 1009}),
+        "gamma4_101": (cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 4), [1, 2, 3, 4]), {}),
+        "nonreduced_qq": (clock_rep(qq, [1, 1]), {"max_tries": 200}),
+    }[name]
+
+
+# sha256 of the repr of every matrix corank_sampling ranks, seeds 0-3 in turn,
+# recorded while each slice was solved from scratch by gcds with x^p - x:
+# the seeded draws, the points and their order must not move
+PINNED_RANKED_POINTS = {
+    "block_qq_1009": "71f29c58f50daad006dae664d966891553a475120c926d8f516a16578c30b344",
+    "clock_101": "f4a5f8b7e440d7b81fc9798df4ccc3090eb5937d8792afd40225e6eae05ebb56",
+    "clock_10007": "7482e8a1d92af3847e94d86c088015c1b8a9000f03f610a2953fb64097a8c046",
+    "clock_7": "318479b9c2c9b6606b8f710990398a9632efa13bfb6521a2edd1b66a7c6a2993",
+    "gamma4_101": "16d6168a270596fe8401f127cdd211cba0bfaeb67901479698190aa2f1530304",
+    "nonreduced_qq": "538b7adfea7faf7ffeaa51ed5edc26a25a2d9a17613d0a6b6cf503979216bd56",
+    "quadric_7": "9280830e8a390baf3512e4934fb4953b20ce78387ec02e7b06c7d9f7a80ee062",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RANKED_POINTS))
+def test_corank_ranked_points_pinned(name, monkeypatch):
+    ranked = []
+    original = linalg.rank
+
+    def recording(field, matrix):
+        ranked.append(matrix)
+        return original(field, matrix)
+
+    monkeypatch.setattr(linalg, "rank", recording)
+    rep, keywords = ranked_case(name)
+    for seed in range(4):
+        cr.corank_sampling(rep, seed=seed, **keywords)
+    digest = hashlib.sha256(repr(ranked).encode()).hexdigest()
+    assert digest == PINNED_RANKED_POINTS[name]
+
+
+def test_corank_sampling_rejects_negative_budgets():
+    rep = clock_rep(cr.prime_field(101), [3, 17, 55])
+    for keyword, value in (("max_tries", -5), ("on_target", -1), ("off_target", -1)):
+        with pytest.raises(InputError, match=keyword) as caught:
+            cr.corank_sampling(rep, **{keyword: value})
+        assert not isinstance(caught.value, SampleBudgetSpent)
+    with pytest.raises(SampleBudgetSpent):  # an empty budget is still a budget
+        cr.corank_sampling(rep, max_tries=0)
 
 
 def test_corank_sampling_evaluates_no_polys(evaluate_calls):

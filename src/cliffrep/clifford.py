@@ -39,11 +39,13 @@ from .polymat import PolyMatrix, poly_matrix_det
 class CliffordRep:
     """A pencil together with a form f and degree d, claiming M(y)^d = f*I.
 
-    The claim is *not* trusted at construction; ``verify_relation`` is the
-    only thing that sets the verified flag and the Clifford index r = t/d.
+    The claim is *not* trusted at construction.  ``verify_relation`` proves
+    it for a rep from outside or from a constructor; a map preserving
+    M^d = f*I (conjugate, sum, twist, fiber, reduction mod p) marks its
+    output verified when its inputs are.  A verified rep has r = t/d.
     """
 
-    __slots__ = ("pencil", "f", "d", "notes", "_verified", "_index")
+    __slots__ = ("pencil", "f", "d", "notes", "_verified")
 
     def __init__(self, pencil: LinearPencil, f: Poly, d: int,
                  notes: tuple[str, ...] = ()):
@@ -56,7 +58,6 @@ class CliffordRep:
         self.d = d
         self.notes = tuple(notes)
         self._verified = False
-        self._index = None
 
     @property
     def ring(self) -> PolyRing:
@@ -72,7 +73,7 @@ class CliffordRep:
 
     @property
     def clifford_index(self) -> int | None:
-        return self._index
+        return self.size // self.d if self._verified else None
 
     def scalar_matrices(self) -> list:
         """The A_i as matrices of field scalars (base-free reps only)."""
@@ -87,7 +88,7 @@ class CliffordRep:
                 and self.f == other.f and self.d == other.d)
 
     def __repr__(self):
-        state = f"r={self._index}" if self._verified else "unverified"
+        state = f"r={self.clifford_index}" if self._verified else "unverified"
         return f"CliffordRep(t={self.size}, d={self.d}, {state})"
 
 
@@ -136,12 +137,17 @@ def verify_relation(rep: CliffordRep) -> RelationCertificate:
             f"relation holds but d={rep.d} does not divide t={rep.size}; "
             "the form must be degenerate")
     rep._verified = True
-    rep._index = rep.size // rep.d
-    return RelationCertificate(True, rep.size, rep.d, rep._index)
+    return RelationCertificate(True, rep.size, rep.d, rep.clifford_index)
+
+
+def _carry_relation(out: CliffordRep, proved: bool) -> CliffordRep:
+    """Mark out verified when proved by the verified reps it was mapped from."""
+    out._verified = proved
+    return out
 
 
 def _require_relation(rep: CliffordRep, what: str) -> CliffordRep:
-    """Verify a rep built from verified parts; a failure is a program fault."""
+    """Verify a constructor's output; a failure is a program fault."""
     cert = verify_relation(rep)
     if not cert.passed:
         raise InternalInconsistency(f"{what} failed its own relation: {cert.describe()}")
@@ -242,15 +248,16 @@ def conjugate(rep: CliffordRep, theta: list) -> CliffordRep:
     coeffs = {alpha: linalg.mat_mul(field, linalg.mat_mul(field, theta, c), theta_inv)
               for alpha, c in rep.pencil.coefficients.items()}
     pencil = LinearPencil.from_coefficients(rep.ring, rep.size, coeffs)
-    out = CliffordRep(pencil, rep.f, rep.d, rep.notes)
-    return _require_relation(out, "conjugate") if rep.verified else out
+    return _carry_relation(CliffordRep(pencil, rep.f, rep.d, rep.notes), rep.verified)
 
 
 def specialize_rep(rep: CliffordRep, point: dict) -> CliffordRep:
-    """Evaluate the base variables of a parametrized rep at scalars."""
+    """Evaluate the base variables of a parametrized rep at scalars; the
+    fiber of a verified rep inherits M(q)^d = f(q)*I unless f(q) = 0."""
     new_pencil = specialize(rep.pencil, point)
     new_f = rep.f.evaluate(point).map_to(new_pencil.ring)
-    return CliffordRep(new_pencil, new_f, rep.d, rep.notes)
+    return _carry_relation(CliffordRep(new_pencil, new_f, rep.d, rep.notes),
+                           rep.verified and not new_f.is_zero())
 
 
 # -- intertwiners -----------------------------------------------------------
@@ -655,9 +662,7 @@ def direct_sum(rep1: CliffordRep, rep2: CliffordRep) -> CliffordRep:
     _check_compatible(rep1, rep2)
     out = CliffordRep(_block_diagonal([rep1.pencil, rep2.pencil]), rep1.f, rep1.d,
                       rep1.notes + rep2.notes)
-    if rep1.verified and rep2.verified:
-        return _require_relation(out, "direct_sum")
-    return out
+    return _carry_relation(out, rep1.verified and rep2.verified)
 
 
 def twist_by_free(rep: CliffordRep, mult: int) -> CliffordRep:
@@ -666,12 +671,12 @@ def twist_by_free(rep: CliffordRep, mult: int) -> CliffordRep:
     That is mult diagonal copies of A_i, a rep equivalent to A_i (x) I by a
     permutation of the basis.
     """
-    if mult < 1:
-        raise InputError("multiplicity must be >= 1")
+    if not isinstance(mult, int) or mult < 1:
+        raise InputError(f"multiplicity must be an integer >= 1, got {mult!r}")
     if mult == 1:
         return rep
     out = CliffordRep(_block_diagonal([rep.pencil] * mult), rep.f, rep.d, rep.notes)
-    return _require_relation(out, "twist_by_free") if rep.verified else out
+    return _carry_relation(out, rep.verified)
 
 
 # -- irreducibility --------------------------------------------------------------

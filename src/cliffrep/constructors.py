@@ -14,8 +14,8 @@ import numpy as np
 from . import linalg
 from .clifford import (CliffordRep, _require_relation, equivalence_test,
                        verify_relation)
-from .errors import (GammaConstructionError, InputError, InternalInconsistency,
-                     NondiagonalInput, RotationMismatch)
+from .errors import (GammaConstructionError, InputError, NondiagonalInput,
+                     RotationMismatch)
 from .fields import Field, gf_divmod, gf_roots
 from .pencil import LinearPencil, MFPair, extract, fiber_keys
 from .poly import Poly, PolyRing
@@ -183,14 +183,6 @@ def _kron_scalar(field: Field, a: list, b: list) -> list:
             for row_a in a for row_b in b]
 
 
-def _scalar_square_value(field: Field, m: list):
-    sq = linalg.mat_mul(field, m, m)
-    c = sq[0][0]
-    if sq != [[c if i == j else field.zero for j in range(len(m))] for i in range(len(m))]:
-        raise InternalInconsistency("twist element does not square to a scalar")
-    return c
-
-
 def gamma_generators(field: Field, coeffs: list) -> list:
     """Pairwise anticommuting matrices G_i over the field with G_i^2 = a_i*I.
 
@@ -198,7 +190,7 @@ def gamma_generators(field: Field, coeffs: list) -> list:
     solved through the norm equation and is glued in with the running product
     of all previous generators (which anticommutes with each of them).  The
     a_i themselves sit off-diagonal, split as a_i * 1, so no square roots of
-    the coefficients are ever taken.
+    the coefficients are ever taken; ``gamma_quadric_rep`` proves the result.
     """
     if field.characteristic == 2:
         raise InputError("gamma construction requires characteristic != 2")
@@ -222,7 +214,7 @@ def gamma_generators(field: Field, coeffs: list) -> list:
         twist = gens[0]
         for g in gens[1:]:
             twist = linalg.mat_mul(field, twist, g)
-        twist_sq = _scalar_square_value(field, twist)
+        twist_sq = linalg.mat_mul(field, twist, twist)[0][0]
         idx += 2
     if idx < len(coeffs):
         a = field.div(coeffs[idx], twist_sq)

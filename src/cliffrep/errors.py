@@ -78,8 +78,8 @@ class DivisionFails(CliffrepError):
 class InternalInconsistency(CliffrepError):
     """An invariant the program guarantees failed; should be impossible.
 
-    Raised, e.g., for a passing relation with d not dividing t, or a rep
-    built from verified parts that fails its own relation.
+    Raised, e.g., for a passing relation with d not dividing t, or a
+    constructor's output that fails its own relation.
     """
 
 

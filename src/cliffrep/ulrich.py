@@ -16,8 +16,8 @@ from math import comb
 from operator import mul
 
 from . import linalg
-from .clifford import (CliffordRep, det_factorization, probe_points,
-                       specialize_rep, verify_relation)
+from .clifford import (CliffordRep, _carry_relation, det_factorization,
+                       probe_points, specialize_rep, verify_relation)
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      SampleBudgetSpent, UnsupportedBase)
 from .fields import gf_roots, prime_field
@@ -124,7 +124,8 @@ class CorankSummary:
 
 
 def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
-    """Reduce a verified rational rep mod p, rejecting primes that kill det(M)."""
+    """Reduce a verified rational rep mod p, rejecting primes that kill det(M);
+    the reduction inherits the proof of M^d = f*I."""
     source = rep.ring
     if source.field.kind != "QQ" or not rep.verified:
         raise InputError("only verified rational reps are reduced modulo a prime")
@@ -145,8 +146,7 @@ def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
     # exactly when f does
     if reduced.f.is_zero():
         raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
-    verify_relation(reduced)
-    return reduced
+    return _carry_relation(reduced, True)
 
 
 def _term_at(exp: tuple, c: int, values: list, p: int) -> int:
@@ -355,7 +355,7 @@ def _mf_only_probe(rep: CliffordRep) -> bool:
 def _fiber_checks(rep: CliffordRep, config: CertificateConfig, report: Report,
                   prefix: str = ""):
     """Hilbert, sections, corank and smoothness checks for a base-free rep."""
-    # f != 0 (checked by verify_relation) and det(M)^d = f^t prove
+    # f != 0 (a verified rep's form is nonzero) and det(M)^d = f^t prove
     # det M != 0, so the Hilbert function is that of the linear resolution
     hilbert = expected_hilbert(rep.size, rep.ring.fiber_count - 1, config.max_degree)
     report.add(prefix + "hilbert-function", PASS,
@@ -420,12 +420,14 @@ def ulrich_certificate(rep: CliffordRep,
     elif config.base_points:
         for k, point in enumerate(config.base_points):
             fiber = specialize_rep(rep, point)
-            cert = verify_relation(fiber)
             prefix = f"base{k}:"
-            report.add(prefix + "relation", PASS if cert.passed else FAIL,
-                       {"point": {k2: str(v) for k2, v in point.items()}})
-            if cert.passed:
+            payload = {"point": {k2: str(v) for k2, v in point.items()}}
+            if fiber.verified:
+                report.add(prefix + "relation", PASS, payload)
                 _fiber_checks(fiber, config, report, prefix)
+            else:
+                payload["error"] = f"the form f = {rep.f} vanishes at this base point"
+                report.add(prefix + "relation", FAIL, payload)
     else:
         report.add("fiber-checks", SKIPPED,
                    {"reason": "base-parametrized rep; pass base_points to sample fibers"})

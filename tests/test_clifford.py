@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
-from cliffrep import clifford, linalg
+from cliffrep import clifford, constructors, linalg, pencil, ulrich
 from cliffrep.documents import dumps_document
 from cliffrep.errors import (CoefficientNotInField, DivisionFails,
                              ExponentOverflow, InputError,
@@ -411,18 +411,75 @@ def test_conjugation_invariance_random(gf7):
 # -- sums, twists, hom spaces ---------------------------------------------------------
 
 
-def test_reverification_failure_is_internal_inconsistency(qq):
-    # a rep stamped verified that fails its relation: every builder that
-    # re-verifies its output must report a program fault, also under -O
-    ring = quadric_ring(qq)
-    fake = cr.CliffordRep(cr.extract(paper_phi(ring)), paper_f(ring), 2)
-    fake._verified = True
-    with pytest.raises(InternalInconsistency):
-        cr.conjugate(fake, [[qq.one, qq.zero], [qq.zero, qq.one]])
-    with pytest.raises(InternalInconsistency):
-        cr.direct_sum(fake, fake)
-    with pytest.raises(InternalInconsistency):
-        cr.twist_by_free(fake, 2)
+def test_constructor_fault_is_internal_inconsistency(qq, monkeypatch):
+    # generators that square to the coefficients but commute: the
+    # constructor's own relation check must report a program fault, also
+    # under -O
+    swap = [[qq.zero, qq.one], [qq.one, qq.zero]]
+    monkeypatch.setattr(constructors, "gamma_generators",
+                        lambda field, coeffs: [swap, swap])
+    with pytest.raises(InternalInconsistency, match="gamma_quadric_rep"):
+        cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 2), [1, 1])
+
+
+def test_maps_of_verified_reps_do_not_reverify(qq, monkeypatch):
+    gf101 = cr.prime_field(101)
+    gamma = cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 4), [3, 5, 7, 11])
+    block = block_quadric_rep(qq)
+    base = cr.hyperplane_rep(cr.parse_poly("t1*y0 - y1 + y2", cr.PolyRing(qq, 1, 3)))
+    theta = random_invertible(gf101, 4, random.Random(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the relation was checked again")
+
+    for module in (clifford, constructors, ulrich):
+        monkeypatch.setattr(module, "verify_relation", refuse)
+    for module in (pencil, clifford):
+        monkeypatch.setattr(module, "power_coefficients", refuse)
+    for out, index in ((cr.conjugate(gamma, theta), 2),
+                       (cr.direct_sum(gamma, gamma), 4),
+                       (cr.twist_by_free(gamma, 3), 6),
+                       (cr.reduce_rep_mod_prime(block, 7), 2),
+                       (cr.specialize_rep(base, {"t1": qq.of(3)}), 1)):
+        assert out.verified and out.clifford_index == index
+
+
+AGREEMENT_REPS = {
+    "clock_gf7": lambda: clock_rep(cr.prime_field(7), [1, 2, 4]),
+    "clock_qq": lambda: clock_rep(cr.rationals(), [1, -2, 3]),
+    "gamma_gf7": lambda: cr.gamma_quadric_rep(cr.PolyRing(cr.prime_field(7), 0, 3),
+                                              [1, 3, 5]),
+    "gamma_gf101": lambda: cr.gamma_quadric_rep(
+        cr.PolyRing(cr.prime_field(101), 0, 4), [3, 5, 7, 11]),
+    "gamma_qq": lambda: cr.gamma_quadric_rep(cr.PolyRing(cr.rationals(), 0, 4),
+                                             [2, -2, 3, -3]),
+    "block_gf7": lambda: block_quadric_rep(cr.prime_field(7)),
+    "block_gf101": lambda: block_quadric_rep(cr.prime_field(101)),
+    "block_qq": lambda: block_quadric_rep(cr.rationals()),
+    "hyperplane_base_qq": lambda: cr.hyperplane_rep(
+        cr.parse_poly("2*t1*y0 - 3*y1 + y2", cr.PolyRing(cr.rationals(), 1, 3))),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(AGREEMENT_REPS)),
+       mult=st.integers(1, 3), t1=st.integers(1, 9),
+       prime=st.sampled_from([7, 11, 101]))
+def test_inherited_proofs_agree_with_verify_relation(data, kind, mult, t1, prime):
+    # theta has determinant +-(a product of scalars in -5..5), so no prime
+    # >= 7 divides a denominator of a QQ conjugate
+    rep = AGREEMENT_REPS[kind]()
+    conj = cr.conjugate(rep, data.draw(sparse_invertible(rep.ring.field, rep.size)))
+    outputs = [conj, cr.direct_sum(rep, conj), cr.twist_by_free(conj, mult)]
+    if rep.ring.base_count:
+        outputs += [cr.specialize_rep(out, {"t1": t1}) for out in outputs]
+    if rep.ring.field.kind == "QQ":
+        outputs += [cr.reduce_rep_mod_prime(out, prime) for out in outputs]
+    for out in outputs:
+        assert out.verified
+        fresh = cr.CliffordRep(out.pencil, out.f, out.d)
+        assert cr.verify_relation(fresh).passed
+        assert fresh.clifford_index == out.clifford_index == out.size // out.d
 
 
 def test_conjugate_rejects_a_wrong_size_theta(qq):
@@ -456,6 +513,23 @@ def test_package_has_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+def test_package_imports_are_used():
+    # __init__.py imports to re-export; every other module uses its imports
+    root = pathlib.Path(cr.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used)
+        assert not unused, f"{path.name}: unused imports {unused}"
+
+
 def test_direct_sum_hyperplanes(qq):
     rep = hyperplane_22(qq)
     total = cr.direct_sum(rep, rep)
@@ -478,6 +552,12 @@ def test_twist_identity_and_triple(block_rep_qq):
     twisted = cr.twist_by_free(block_rep_qq, 3)
     assert (twisted.size, twisted.clifford_index) == (12, 6)
     assert twisted.verified
+
+
+@pytest.mark.parametrize("mult", [2.0, "2", None, 0, -1])
+def test_twist_rejects_a_bad_multiplicity(block_rep_qq, mult):
+    with pytest.raises(InputError):
+        cr.twist_by_free(block_rep_qq, mult)
 
 
 def test_hom_space_dims(qq, block_rep_qq):

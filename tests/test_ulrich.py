@@ -392,6 +392,20 @@ def test_certificate_skips_fibers_without_base_points(qq):
     assert statuses["fiber-checks"] == "skipped"
 
 
+def test_certificate_fails_a_base_point_where_f_vanishes(qq):
+    ring = cr.PolyRing(qq, 1, 2)
+    rep = cr.hyperplane_rep(cr.parse_poly("t1*y0", ring))
+    config = cr.CertificateConfig(base_points=[{"t1": qq.of(0)}, {"t1": qq.of(2)}])
+    cert = cr.ulrich_certificate(rep, config)
+    records = {r.name: r for r in cert.report.records}
+    assert records["base0:relation"].status == "fail"
+    assert str(rep.f) in records["base0:relation"].witness["error"]
+    assert "base0:hilbert-function" not in records
+    assert records["base1:relation"].status == "pass"
+    assert "base1:corank-sampling" in records
+    assert not cert.passed
+
+
 def test_reduce_rep_mod_prime_guard(qq, block_rep_qq):
     reduced = cr.reduce_rep_mod_prime(block_rep_qq, 101)
     assert reduced.ring.field.p == 101

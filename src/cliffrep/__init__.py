@@ -9,7 +9,8 @@ from .clifford import (CliffordRep, DetFactorization, EquivalenceResult,
                        IrreducibilityResult, RelationCertificate, conjugate,
                        det_factorization, direct_sum, equivalence_test,
                        hom_space_dim, intertwiner_basis, irreducibility_check,
-                       specialize_rep, twist_by_free, verify_relation)
+                       reduce_rep_mod_prime, specialize_rep, twist_by_free,
+                       verify_relation)
 from .constructors import (SearchHit, SplitBinaryForm, block_from_mf,
                            clock_shift_rep, cyclic_block_rep,
                            diagonal_coefficients, gamma_quadric_rep,
@@ -28,7 +29,6 @@ from .ulrich import (CertificateConfig, CorankSummary, GradedCokernel,
                      UlrichCertificate, corank_sampling, expected_hilbert,
                      fitting_exponent, hilbert_function,
                      hypersurface_twist_cohomology, pn_line_bundle_cohomology,
-                     reduce_rep_mod_prime, trivial_bundle_fiber_ulrich,
-                     ulrich_certificate)
+                     trivial_bundle_fiber_ulrich, ulrich_certificate)
 
 __version__ = "0.1.0"

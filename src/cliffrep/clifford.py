@@ -4,7 +4,8 @@ A representation of the algebra attached to a degree-d form f is a pencil
 (A_0..A_n) whose assembled matrix satisfies the symbolic identity
 M(y)^d = f * I.  That polynomial identity is the normative check here: it
 implies the scalar relation at every point of every extension ring, which
-pointwise evaluation over a finite field cannot.
+pointwise evaluation over a finite field cannot.  The maps that preserve
+it, reduction mod p included, live here and carry its proof along.
 
 The structure kernels (Hom spaces, generated-algebra spans and spins) run
 on int64 arrays over GF(p < 2^31) once their matrices reach
@@ -16,7 +17,8 @@ and the unknowns are the images of the s seeds, s*t2 of them, not the
 t1*t2 entries of theta.  The list path solves the Kronecker system of
 ``intertwiner_system`` for all entries.  Both give the same answers: an
 RREF depends only on the row space, and the canonical basis of a Hom space
-depends only on the space.
+depends only on the space.  ``_hom_basis`` is the one place that picks
+between them, for every Hom space and Hom dimension.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DivisionFails, InputError, InternalInconsistency,
+from .errors import (BadPrime, DivisionFails, InputError, InternalInconsistency,
                      ShapeMismatch, UnsupportedBase)
 from .fields import prime_field
 from .pencil import (LinearPencil, assemble, fiber_keys, pencil_at,
@@ -41,8 +43,9 @@ class CliffordRep:
 
     The claim is *not* trusted at construction.  ``verify_relation`` proves
     it for a rep from outside or from a constructor; a map preserving
-    M^d = f*I (conjugate, sum, twist, fiber, reduction mod p) marks its
-    output verified when its inputs are.  A verified rep has r = t/d.
+    M^d = f*I (``conjugate``, ``direct_sum``, ``twist_by_free``,
+    ``specialize_rep`` where f(q) != 0, and ``reduce_rep_mod_prime``) marks
+    its output verified when its inputs are.  A verified rep has r = t/d.
     """
 
     __slots__ = ("pencil", "f", "d", "notes", "_verified")
@@ -144,14 +147,6 @@ def _carry_relation(out: CliffordRep, proved: bool) -> CliffordRep:
     """Mark out verified when proved by the verified reps it was mapped from."""
     out._verified = proved
     return out
-
-
-def _require_relation(rep: CliffordRep, what: str) -> CliffordRep:
-    """Verify a constructor's output; a failure is a program fault."""
-    cert = verify_relation(rep)
-    if not cert.passed:
-        raise InternalInconsistency(f"{what} failed its own relation: {cert.describe()}")
-    return rep
 
 
 @dataclass(frozen=True)
@@ -258,6 +253,32 @@ def specialize_rep(rep: CliffordRep, point: dict) -> CliffordRep:
     new_f = rep.f.evaluate(point).map_to(new_pencil.ring)
     return _carry_relation(CliffordRep(new_pencil, new_f, rep.d, rep.notes),
                            rep.verified and not new_f.is_zero())
+
+
+def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
+    """Reduce a verified rational rep mod p, rejecting primes that kill det(M);
+    the reduction inherits the proof of M^d = f*I."""
+    source = rep.ring
+    if source.field.kind != "QQ" or not rep.verified:
+        raise InputError("only verified rational reps are reduced modulo a prime")
+    field = prime_field(prime)
+    target = PolyRing(field, source.base_count, source.fiber_count)
+
+    def reduce(c):
+        if c.denominator % prime == 0:
+            raise BadPrime(f"{prime} divides a coefficient denominator")
+        return field.of(c)
+
+    coeffs = {alpha: [[reduce(x) for x in row] for row in c]
+              for alpha, c in rep.pencil.coefficients.items()}
+    f = Poly(target, {exp: v for exp, c in rep.f.terms.items() if (v := reduce(c))})
+    reduced = CliffordRep(LinearPencil.from_coefficients(target, rep.size, coeffs),
+                          f, rep.d, rep.notes)
+    # M^d = f*I survives reduction, so det(M)^d = f^t: det(M) vanishes mod p
+    # exactly when f does
+    if reduced.f.is_zero():
+        raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
+    return _carry_relation(reduced, True)
 
 
 # -- intertwiners -----------------------------------------------------------
@@ -446,30 +467,20 @@ def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int) -> np.ndarray:
 
 
 def _hom_basis(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int):
-    """(basis vectors, unknowns) of ``intertwiner_basis``, the canonical
-    nullspace of ``intertwiner_system``, from the spun system above the
-    size cut for a base-free rep over GF(p < 2^31)."""
+    """(basis vectors, unknowns) of ``intertwiner_basis``: the canonical
+    nullspace of ``intertwiner_system``, or the same basis spun for
+    base-free reps over GF(p < 2^31) above the size cut.  Every Hom space
+    and Hom dimension of this module is found here."""
     ring = rep1.ring
     field = ring.field
-    if not _spins(rep1, rep2):
+    if ring.base_count or not _uses_arrays(field, rep1.size * rep2.size):
         rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
         return (linalg.nullspace(field, rows if rows else
                                  [[field.zero] * len(unknowns)]), unknowns)
     constant = (0,) * ring.nvars
     unknowns = [(u, v, constant) for u in range(rep2.size) for v in range(rep1.size)]
-    return _spun_basis(*_generator_arrays(rep1, rep2), field.p).tolist(), unknowns
-
-
-def _spins(rep1: CliffordRep, rep2: CliffordRep) -> bool:
-    """Whether Hom(rep1, rep2) is found by spinning: for base-free reps
-    over GF(p < 2^31) above the size cut."""
-    return (not rep1.ring.base_count
-            and _uses_arrays(rep1.ring.field, rep1.size * rep2.size))
-
-
-def _generator_arrays(rep1: CliffordRep, rep2: CliffordRep):
-    return (np.array(rep1.scalar_matrices(), dtype=np.int64),
-            np.array(rep2.scalar_matrices(), dtype=np.int64))
+    gens1, gens2 = (np.array(r.scalar_matrices(), dtype=np.int64) for r in (rep1, rep2))
+    return _spun_basis(gens1, gens2, field.p).tolist(), unknowns
 
 
 def _vector_to_theta(ring: PolyRing, unknowns, vec) -> PolyMatrix:
@@ -501,24 +512,14 @@ def _check_compatible(rep1: CliffordRep, rep2: CliffordRep):
         raise InputError("representations have different degrees d")
 
 
-def _intertwiner_dim(rep1: CliffordRep, rep2: CliffordRep,
-                     max_base_degree: int = 0) -> int:
-    """The length of ``intertwiner_basis``: unknowns minus the system's rank."""
-    field = rep1.ring.field
-    if not _spins(rep1, rep2):
-        rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
-        return len(unknowns) - linalg.rank(field, rows)
-    system = _spun_system(*_generator_arrays(rep1, rep2), field.p)[0]
-    return system.shape[1] - len(linalg.rref_modp(system, field.p)[1])
-
-
 def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
-    """Dimension of {theta : theta*A1_i = A2_i*theta for all i}."""
+    """Dimension of {theta : theta*A1_i = A2_i*theta for all i}: the length
+    of the ``intertwiner_basis``."""
     _check_compatible(rep1, rep2)
     if rep1.ring.base_count:
         raise UnsupportedBase("hom spaces are computed over a plain field; "
                               "specialize the base first")
-    return _intertwiner_dim(rep1, rep2)
+    return len(_hom_basis(rep1, rep2, 0)[0])
 
 
 @dataclass(frozen=True)
@@ -574,17 +575,23 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
                      trials: int = 64, max_base_degree: int = 2) -> EquivalenceResult:
     """Decide equivalence by solving for an invertible intertwiner.
 
-    Over a plain field a zero intertwiner space in either direction rules
-    equivalence out, and so does a space the search covered without
-    meeting a unit: one of dimension 1, or one over GF(p) with at most
-    trials nonzero elements, enumerated whole.  Over a base ring the space
-    searched is bounded by max_base_degree, so neither proves anything by
-    itself: Inequivalent then needs a base point q, drawn from the seed,
-    where the fibers admit no intertwiner.  That is a proof, since theta in
-    GL_t(k[t]) has a constant determinant and theta(q) intertwines the
-    fibers invertibly.  A nonzero space whose sampled elements are all
-    singular stays Inconclusive: the sample may simply have missed the
-    units, and we never promote absence of evidence to Inequivalent.
+    dims are the dimensions of Hom(rep1, rep2) and Hom(rep2, rep1), also
+    for reps of different sizes.  Over a plain field Hom(rep1, rep2) is
+    searched first: an invertible theta in it makes Hom(rep2, rep1),
+    End(rep1) and Hom(rep1, rep2) isomorphic, so the reverse dimension is
+    the forward one and no second space is solved.  A zero intertwiner
+    space in either direction rules equivalence out, and so does a space
+    the search covered without meeting a unit: one of dimension 1, or one
+    over GF(p) with at most trials nonzero elements, enumerated whole.
+    Over a base ring the space searched is bounded by max_base_degree, so
+    neither proves anything by itself, and both directions are solved
+    before the search: Inequivalent then needs a base point q, drawn from
+    the seed, where the fibers admit no intertwiner.  That is a proof,
+    since theta in GL_t(k[t]) has a constant determinant and theta(q)
+    intertwines the fibers invertibly.  A nonzero space whose sampled
+    elements are all singular stays Inconclusive: the sample may simply
+    have missed the units, and we never promote absence of evidence to
+    Inequivalent.
 
     The search combines basis vectors of scalars and builds the Poly theta
     of the answer only; without base variables a rank decides each one.
@@ -594,11 +601,23 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
         raise InputError(f"trial budget must be >= 0, got {trials}")
     if max_base_degree < 0:
         raise InputError(f"base degree bound must be >= 0, got {max_base_degree}")
-    if rep1.size != rep2.size:
-        return EquivalenceResult("inequivalent", reason="size mismatch")
     ring = rep1.ring
+    size = rep1.size
     vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
-    dims = (len(vecs), _intertwiner_dim(rep2, rep1, max_base_degree))
+    if ring.base_count:
+        def is_unit(vec):
+            return _is_unit_matrix(_vector_to_theta(ring, unknowns, vec))
+    else:
+        def is_unit(vec):
+            square = [vec[i:i + size] for i in range(0, size * size, size)]
+            return linalg.rank(ring.field, square) == size
+    vec, used, covered = None, 0, False
+    if vecs and size == rep2.size and not ring.base_count:
+        vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
+    dims = (len(vecs), len(vecs) if vec is not None
+            else len(_hom_basis(rep2, rep1, max_base_degree)[0]))
+    if size != rep2.size:
+        return EquivalenceResult("inequivalent", dims=dims, reason="size mismatch")
     if not all(dims):
         if not ring.base_count:
             return EquivalenceResult(
@@ -616,15 +635,8 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
             reason=f"no intertwiner of base degree <= max_base_degree="
                    f"{max_base_degree} in at least one direction, but the "
                    f"fibers at {_PROBES} seeded base points admit intertwiners")
-    size = rep1.size
     if ring.base_count:
-        def is_unit(vec):
-            return _is_unit_matrix(_vector_to_theta(ring, unknowns, vec))
-    else:
-        def is_unit(vec):
-            square = [vec[i:i + size] for i in range(0, size * size, size)]
-            return linalg.rank(ring.field, square) == size
-    vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
+        vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
     if vec is not None:
         theta = _vector_to_theta(ring, unknowns, vec)
         return EquivalenceResult("equivalent", theta=theta, dims=dims,
@@ -723,16 +735,10 @@ def _generated_algebra_dim(field, mats, size: int) -> int:
 
     Product saturation: the span of flattened matrices, closed under right
     multiplication by the generators.  ``mats`` is a list, or a (g, t, t)
-    int64 array over GF(p) for the array kernels.  Over QQ a span of full
-    dimension mod ``_QQ_PROOF_PRIME`` is a proof and skips the exact span.
+    int64 array over GF(p) for the array kernels.
     """
     if isinstance(mats, np.ndarray):
         return _algebra_dim_modp(field, mats)
-    if field.kind == "QQ" and size * size >= _ARRAY_MIN_CELLS:
-        residues = _reduce_rationals(mats, _QQ_PROOF_PRIME)
-        if (residues is not None and size * size == _algebra_dim_modp(
-                prime_field(_QQ_PROOF_PRIME), residues)):
-            return size * size
 
     def right_products(rows):
         stacked = [v[i:i + size] for v in rows for i in range(0, size * size, size)]
@@ -762,13 +768,16 @@ def _algebra_dim_modp(field, gens: np.ndarray) -> int:
     return len(_closure(field, start, right_products))
 
 
-def _reduce_rationals(mats: list, p: int) -> np.ndarray | None:
-    """QQ matrices mod p as a (g, t, t) int64 array, or None when p divides
-    a denominator."""
-    if any(x.denominator % p == 0 for m in mats for row in m for x in row):
-        return None
-    return np.array([[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                      for row in m] for m in mats], dtype=np.int64)
+def _full_algebra_mod_p(rep: CliffordRep) -> bool:
+    """Whether a verified QQ rep generates all t x t matrices mod
+    ``_QQ_PROOF_PRIME``, which proves that it does over QQ.  A prime the
+    reduction rejects proves nothing."""
+    try:
+        reduced = reduce_rep_mod_prime(rep, _QQ_PROOF_PRIME)
+    except BadPrime:
+        return False
+    gens = np.array(reduced.scalar_matrices(), dtype=np.int64)
+    return _algebra_dim_modp(reduced.ring.field, gens) == rep.size ** 2
 
 
 def _spin(field, mats, vec: list) -> list[list]:
@@ -814,7 +823,9 @@ def irreducibility_check(rep: CliffordRep, seed: int = 0,
     mats = rep.scalar_matrices()
     if _uses_arrays(field, size * size):
         mats = np.array(mats, dtype=np.int64)
-    algebra_dim = _generated_algebra_dim(field, mats, size)
+    full_mod_p = (field.kind == "QQ" and size * size >= _ARRAY_MIN_CELLS
+                  and _full_algebra_mod_p(rep))
+    algebra_dim = size * size if full_mod_p else _generated_algebra_dim(field, mats, size)
     if algebra_dim == size * size:
         return IrreducibilityResult(
             "irreducible", algebra_dim,

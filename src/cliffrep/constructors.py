@@ -12,14 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .clifford import (CliffordRep, _require_relation, equivalence_test,
-                       verify_relation)
-from .errors import (GammaConstructionError, InputError, NondiagonalInput,
-                     RotationMismatch)
+from .clifford import CliffordRep, equivalence_test, verify_relation
+from .errors import (GammaConstructionError, InputError, InternalInconsistency,
+                     NondiagonalInput, RotationMismatch)
 from .fields import Field, gf_divmod, gf_roots
 from .pencil import LinearPencil, MFPair, extract, fiber_keys
 from .poly import Poly, PolyRing
 from .polymat import PolyMatrix, mat_shape
+
+
+def _require_relation(rep: CliffordRep, what: str) -> CliffordRep:
+    """Verify a constructor's output; a failure is a program fault."""
+    cert = verify_relation(rep)
+    if not cert.passed:
+        raise InternalInconsistency(f"{what} failed its own relation: {cert.describe()}")
+    return rep
 
 
 # -- degree one ----------------------------------------------------------------

@@ -16,13 +16,12 @@ from math import comb
 from operator import mul
 
 from . import linalg
-from .clifford import (CliffordRep, _carry_relation, det_factorization,
-                       probe_points, specialize_rep, verify_relation)
+from .clifford import (CliffordRep, det_factorization, probe_points,
+                       reduce_rep_mod_prime, specialize_rep, verify_relation)
 from .errors import (BadPrime, DivisionFails, InputError, NotHomogeneous,
                      SampleBudgetSpent, UnsupportedBase)
-from .fields import gf_roots, prime_field
+from .fields import gf_roots
 from .pencil import LinearPencil, assemble, extract, pencil_at
-from .poly import Poly, PolyRing
 from .polymat import PolyMatrix, mat_shape, poly_matrix_det
 from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, Report
 
@@ -121,32 +120,6 @@ class CorankSummary:
             "violations": [[list(pt), got, want]
                            for pt, got, want in self.violations],
         }
-
-
-def reduce_rep_mod_prime(rep: CliffordRep, prime: int) -> CliffordRep:
-    """Reduce a verified rational rep mod p, rejecting primes that kill det(M);
-    the reduction inherits the proof of M^d = f*I."""
-    source = rep.ring
-    if source.field.kind != "QQ" or not rep.verified:
-        raise InputError("only verified rational reps are reduced modulo a prime")
-    field = prime_field(prime)
-    target = PolyRing(field, source.base_count, source.fiber_count)
-
-    def reduce(c):
-        if c.denominator % prime == 0:
-            raise BadPrime(f"{prime} divides a coefficient denominator")
-        return field.of(c)
-
-    coeffs = {alpha: [[reduce(x) for x in row] for row in c]
-              for alpha, c in rep.pencil.coefficients.items()}
-    f = Poly(target, {exp: v for exp, c in rep.f.terms.items() if (v := reduce(c))})
-    reduced = CliffordRep(LinearPencil.from_coefficients(target, rep.size, coeffs),
-                          f, rep.d, rep.notes)
-    # M^d = f*I survives reduction, so det(M)^d = f^t: det(M) vanishes mod p
-    # exactly when f does
-    if reduced.f.is_zero():
-        raise BadPrime(f"det(M) vanishes mod {prime}; choose another prime")
-    return _carry_relation(reduced, True)
 
 
 def _term_at(exp: tuple, c: int, values: list, p: int) -> int:

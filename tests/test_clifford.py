@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import cliffrep as cr
 from cliffrep import clifford, constructors, linalg, pencil, ulrich
 from cliffrep.documents import dumps_document
-from cliffrep.errors import (CoefficientNotInField, DivisionFails,
+from cliffrep.errors import (BadPrime, CoefficientNotInField, DivisionFails,
                              ExponentOverflow, InputError,
                              InternalInconsistency, NotHomogeneous,
                              ShapeMismatch, UnsupportedBase)
@@ -276,6 +276,17 @@ def test_det_factorization_falls_back_when_f_vanishes_everywhere(p, factors,
 # -- equivalence -------------------------------------------------------------------
 
 
+def count_hom_kernels(monkeypatch):
+    """Patch the list and the spun Hom systems to record each entry."""
+    entered = []
+    for name in ("intertwiner_system", "_spun_system"):
+        def counted(*args, _original=getattr(clifford, name), _name=name, **kwargs):
+            entered.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(clifford, name, counted)
+    return entered
+
+
 def test_equivalence_with_conjugate(qq, block_rep_qq):
     theta = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     theta = [[qq.of(x) for x in row] for row in theta]
@@ -311,6 +322,18 @@ def test_equivalence_size_mismatch(qq, block_rep_qq):
     result = cr.equivalence_test(block_rep_qq, small)
     assert result.verdict == "inequivalent"
     assert "size" in result.reason
+
+
+def test_equivalence_size_mismatch_reports_both_hom_dims(block_rep_qq):
+    # list (QQ) and array (GF(101), t = 4 against t = 8) Hom kernels
+    gamma = cr.gamma_quadric_rep(cr.PolyRing(cr.prime_field(101), 0, 4), [3, 5, 7, 11])
+    for rep in (block_rep_qq, gamma):
+        double = cr.direct_sum(rep, rep)
+        for a, b in ((rep, double), (double, rep)):
+            result = cr.equivalence_test(a, b)
+            assert (result.verdict, result.reason) == ("inequivalent", "size mismatch")
+            assert result.dims == (cr.hom_space_dim(a, b),
+                                   cr.hom_space_dim(b, a)) == (2, 2)
 
 
 def test_equivalence_zero_intertwiner_space(qq):
@@ -396,6 +419,61 @@ def test_equivalence_is_equivalence_relation(gf7):
     # transitive
     assert cr.equivalence_test(triple[1], triple[2]).verdict == "equivalent"
     assert cr.equivalence_test(triple[0], triple[2]).verdict == "equivalent"
+
+
+def test_an_isomorphism_gives_the_reverse_hom_dimension(monkeypatch, block_rep_qq):
+    # an invertible theta: M1 -> M2 gives Hom(M2, M1) ≅ End(M1) ≅ Hom(M1, M2),
+    # so an equivalent pair solves one Hom space, on lists and on arrays alike
+    gf7, gf101 = cr.prime_field(7), cr.prime_field(101)
+    gamma2 = cr.gamma_quadric_rep(cr.PolyRing(gf7, 0, 2), [1, 3])
+    gamma4 = cr.gamma_quadric_rep(cr.PolyRing(gf101, 0, 4), [3, 5, 7, 11])
+    rng = random.Random(4)
+    pairs = [(rep, cr.conjugate(rep, random_invertible(rep.ring.field, rep.size, rng)),
+              kernel)
+             for rep, kernel in ((block_rep_qq, "intertwiner_system"),
+                                 (gamma2, "intertwiner_system"),
+                                 (gamma4, "_spun_system"))]
+    double = cr.direct_sum(gamma4, pairs[-1][1])
+    pairs.append((double, cr.twist_by_free(gamma4, 2), "_spun_system"))
+    entered = count_hom_kernels(monkeypatch)
+    for a, b, kernel in pairs:
+        entered.clear()
+        result = cr.equivalence_test(a, b)
+        assert result.verdict == "equivalent"
+        assert entered == [kernel]
+        want = 4 if a is double else 1
+        assert result.dims == (want, want)
+    # any other verdict solves both directions
+    a, b = (clock_rep(gf7, roots) for roots in ([1, 2, 3], [2, 1, 3]))
+    entered.clear()
+    result = cr.equivalence_test(cr.direct_sum(a, a), cr.direct_sum(a, b))
+    assert result.verdict == "inequivalent" and len(entered) == 2
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 101, 2**31 - 1, 0]),
+       kind=st.sampled_from(["conjugate", "sum_twist", "clock"]))
+def test_reported_dims_match_the_list_system(data, p, kind):
+    """dims[1], read off the isomorphism for equivalent reps, is the
+    dimension of Hom(rep2, rep1) from the list Kronecker system."""
+    field = cr.prime_field(p) if p else cr.rationals()
+    if kind == "clock":
+        roots = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=4))
+        a = clock_rep(field, roots)
+        b = clock_rep(field, data.draw(st.permutations(roots)))
+    else:
+        # pairs of opposite coefficients: the gamma construction splits over QQ
+        coeffs = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+        rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, 2 * len(coeffs)),
+                                   [s * c for c in coeffs for s in (1, -1)])
+        conj = cr.conjugate(rep, data.draw(sparse_invertible(field, rep.size)))
+        a, b = ((rep, conj) if kind == "conjugate" else
+                (cr.direct_sum(rep, conj), cr.twist_by_free(conj, 2)))
+    result = cr.equivalence_test(a, b, seed=data.draw(st.integers(0, 3)))
+    if kind != "clock":
+        assert result.verdict == "equivalent"
+    rows, unknowns = clifford.intertwiner_system(b, a)
+    assert result.dims[1] == len(unknowns) - linalg.rank(field, rows)
 
 
 def test_conjugation_invariance_random(gf7):
@@ -528,6 +606,19 @@ def test_package_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used)
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_package_modules_import_no_private_names():
+    # a _name is private to its module: other package modules use the
+    # public names
+    root = pathlib.Path(cr.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = sorted(alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)
+                         and (node.level or (node.module or "").startswith("cliffrep"))
+                         for alias in node.names if alias.name.startswith("_"))
+        assert not private, f"{path.name}: imports private names {private}"
 
 
 def test_direct_sum_hyperplanes(qq):
@@ -732,9 +823,14 @@ def test_qq_algebra_falls_back_when_the_proof_prime_fails(qq):
     prime = clifford._QQ_PROOF_PRIME
     for big in (prime, Fraction(1, prime)):
         rep = cr.gamma_quadric_rep(cr.PolyRing(qq, 0, 4), [1, -1, big, -big])
-        residues = clifford._reduce_rationals(rep.scalar_matrices(), prime)
-        assert residues is None or clifford._algebra_dim_modp(
-            cr.prime_field(prime), residues) < 16
+        if big == prime:
+            reduced = cr.reduce_rep_mod_prime(rep, prime)
+            gens = np.array(reduced.scalar_matrices(), dtype=np.int64)
+            assert clifford._algebra_dim_modp(reduced.ring.field, gens) < 16
+        else:
+            with pytest.raises(BadPrime):
+                cr.reduce_rep_mod_prime(rep, prime)
+        assert not clifford._full_algebra_mod_p(rep)
         result = cr.irreducibility_check(rep)
         assert result.verdict == "irreducible" and result.algebra_dim == 16
 

@@ -248,8 +248,9 @@ GOLDEN = {
         (0, "d13f6cc50dbde401bcfca505cb2d83f623bd8db3728b428a00271664a1b613a4"),
     "equiv-sum-sum":
         (0, "d594fef67f7473985cbe788f73acbf05ef29c1018f6a649753406f35d20afa34"),
+    # a size mismatch reports both Hom dimensions, here [2, 2]
     "equiv-block-sum":
-        (1, "840f235c249ebee6a429a4af83bf85086f9a7ed78c81d0263830863646890d00"),
+        (1, "4d2c4b2f7447d452de2fa510916b4eec1ca32ac739bc1da4ad858f5e6fa32864"),
     "equiv-block-bare":
         (1, "86956e4e6af6ae5e6cddbe4f8dd6d05b3460741be9d51fb98bd57317c44a26d2"),
     "equiv-t8-gamma-conj":

@@ -7,18 +7,21 @@ implies the scalar relation at every point of every extension ring, which
 pointwise evaluation over a finite field cannot.  The maps that preserve
 it, reduction mod p included, live here and carry its proof along.
 
-The structure kernels (Hom spaces, generated-algebra spans and spins) run
-on int64 arrays over GF(p < 2^31) once their matrices reach
-``_ARRAY_MIN_CELLS`` entries, and on lists of scalars below that and over
-QQ.  On arrays, Hom(M1, M2) is found by spinning, the module homomorphism
-algorithm of the MeatAxe (Parker 1984; Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, section 7.5): M1 is spun from standard vectors,
-and the unknowns are the images of the s seeds, s*t2 of them, not the
-t1*t2 entries of theta.  The list path solves the Kronecker system of
-``intertwiner_system`` for all entries.  Both give the same answers: an
-RREF depends only on the row space, and the canonical basis of a Hom space
-depends only on the space.  ``_hom_basis`` is the one place that picks
-between them, for every Hom space and Hom dimension.
+The structure kernels (Hom spaces, generated-algebra spans and spins) take
+a base-free rep's generators A_i from ``_generators``, the one place that
+decides their form: an int64 array over GF(p < 2^31) once the A_i reach
+``_ARRAY_MIN_CELLS`` entries, a list of matrices of scalars below that and
+over QQ.  One span routine, ``_closure``, serves the algebra span and every
+spin on either form.  Between two reps with arrays, Hom(M1, M2) is found by
+spinning, the module homomorphism algorithm of the MeatAxe (Parker 1984;
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, section
+7.5): M1 is spun from standard vectors, and the unknowns are the images of
+the s seeds, s*t2 of them, not the t1*t2 entries of theta.  Otherwise the
+Kronecker system of ``intertwiner_system`` is solved for all entries.  Both
+give the same answers: an RREF depends only on the row space, and the
+canonical basis of a Hom space depends only on the space.  ``_hom_basis``
+is the one place that picks between them, for every Hom space and Hom
+dimension.
 """
 from __future__ import annotations
 
@@ -337,15 +340,16 @@ def intertwiner_system(rep1: CliffordRep, rep2: CliffordRep,
     return list(rows.values()), unknowns
 
 
-# Kernels over GF(p < 2^31) switch to int64 arrays when theta (t1 x t2) or
-# the A_i (t x t) have this many entries, and a QQ algebra span first tries
-# its mod-p proof.  Measured in process over GF(3), GF(7) and GF(101), five
-# blocks of 200 calls each, min-max ms, lists vs arrays: equivalence_test of
-# the 2x2 gamma rep of y0^2 + 2*y1^2 against a conjugate 0.17-0.27 vs
-# 0.74-1.03, its irreducibility_check 0.06-0.12 vs 0.18-0.38; a 3x3 clock
-# cubic against a conjugate 0.87-1.35 vs 0.78-1.43; the 4x4 gamma rep
-# against a conjugate at GF(101) 3.7-4.0 vs 1.9-2.0.  random_search dedupes
-# its 2x2 hits with equivalence_test, on lists.
+# A base-free rep over GF(p < 2^31) has its generators as an int64 array
+# once its A_i (t x t) have this many entries, t >= 3; its algebra spans
+# and spins then run on arrays, and Hom between two such reps is spun.
+# Measured in process over GF(3), GF(7) and GF(101), five blocks of 200
+# calls each, min-max ms, lists vs arrays: equivalence_test of the 2x2
+# gamma rep of y0^2 + 2*y1^2 against a conjugate 0.17-0.27 vs 0.74-1.03,
+# its irreducibility_check 0.06-0.12 vs 0.18-0.38; a 3x3 clock cubic
+# against a conjugate 0.87-1.35 vs 0.78-1.43; the 4x4 gamma rep against a
+# conjugate at GF(101) 3.7-4.0 vs 1.9-2.0.  random_search dedupes its 2x2
+# hits with equivalence_test, on lists.
 _ARRAY_MIN_CELLS = 9
 
 # A QQ algebra span is first computed mod this prime.  Reduction mod p can
@@ -359,6 +363,14 @@ def _uses_arrays(field, cells: int) -> bool:
     int64 arrays."""
     return (field.kind == "GF" and linalg.modp_dtype(field.p) is np.int64
             and cells >= _ARRAY_MIN_CELLS)
+
+
+def _generators(rep: CliffordRep):
+    """The A_i of a base-free rep: a (g, t, t) int64 array when its kernels
+    run on arrays, else a list of matrices.  The one place that decides."""
+    if _uses_arrays(rep.ring.field, rep.size * rep.size):
+        return np.array(rep.scalar_matrices(), dtype=np.int64)
+    return rep.scalar_matrices()
 
 
 def _spin_module(gens1: np.ndarray, gens2: np.ndarray, p: int):
@@ -440,10 +452,11 @@ def _spun_system(gens1: np.ndarray, gens2: np.ndarray, p: int):
     return system[system.any(axis=1)], psi.reshape(t1 * t2, s * t2)
 
 
-def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int) -> np.ndarray:
+def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int, dim_only: bool):
     """The canonical basis of Hom(M1, M2) over GF(p < 2^31): the rows that
     ``linalg.nullspace`` gives for ``intertwiner_system``, over the
-    row-major entries of theta.
+    row-major entries of theta.  With dim_only, just its dimension: the
+    number of free columns of the spun system.
 
     That basis is the one that is the identity on the free columns, listed
     by free column, and any basis of the space gives it back: the RREF with
@@ -454,6 +467,8 @@ def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int) -> np.ndarray:
     cols = system.shape[1]
     reduced, pivots, _ = linalg.rref_modp(system, p)
     free = sorted(set(range(cols)) - set(pivots))
+    if dim_only:
+        return len(free)
     if not free:
         return np.zeros((0, t2 * t1), dtype=np.int64)
     kernel = np.zeros((len(free), cols), dtype=np.int64)
@@ -466,21 +481,26 @@ def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int) -> np.ndarray:
     return reduced[::-1, ::-1]
 
 
-def _hom_basis(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int):
-    """(basis vectors, unknowns) of ``intertwiner_basis``: the canonical
-    nullspace of ``intertwiner_system``, or the same basis spun for
-    base-free reps over GF(p < 2^31) above the size cut.  Every Hom space
-    and Hom dimension of this module is found here."""
+def _hom_basis(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int,
+               dim_only: bool = False):
+    """(basis vectors, unknowns) of ``intertwiner_basis``, or with dim_only
+    just the dimension: the canonical nullspace of ``intertwiner_system``,
+    or the same basis spun when both base-free reps have generator arrays.
+    Every Hom space and Hom dimension of this module is found here."""
     ring = rep1.ring
     field = ring.field
-    if ring.base_count or not _uses_arrays(field, rep1.size * rep2.size):
-        rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
-        return (linalg.nullspace(field, rows if rows else
-                                 [[field.zero] * len(unknowns)]), unknowns)
-    constant = (0,) * ring.nvars
-    unknowns = [(u, v, constant) for u in range(rep2.size) for v in range(rep1.size)]
-    gens1, gens2 = (np.array(r.scalar_matrices(), dtype=np.int64) for r in (rep1, rep2))
-    return _spun_basis(gens1, gens2, field.p).tolist(), unknowns
+    if not ring.base_count:
+        gens1, gens2 = _generators(rep1), _generators(rep2)
+        if isinstance(gens1, np.ndarray) and isinstance(gens2, np.ndarray):
+            basis = _spun_basis(gens1, gens2, field.p, dim_only)
+            if dim_only:
+                return basis
+            constant = (0,) * ring.nvars
+            return basis.tolist(), [(u, v, constant) for u in range(rep2.size)
+                                    for v in range(rep1.size)]
+    rows, unknowns = intertwiner_system(rep1, rep2, max_base_degree)
+    vecs = linalg.nullspace(field, rows if rows else [[field.zero] * len(unknowns)])
+    return len(vecs) if dim_only else (vecs, unknowns)
 
 
 def _vector_to_theta(ring: PolyRing, unknowns, vec) -> PolyMatrix:
@@ -519,7 +539,7 @@ def hom_space_dim(rep1: CliffordRep, rep2: CliffordRep) -> int:
     if rep1.ring.base_count:
         raise UnsupportedBase("hom spaces are computed over a plain field; "
                               "specialize the base first")
-    return len(_hom_basis(rep1, rep2, 0)[0])
+    return _hom_basis(rep1, rep2, 0, dim_only=True)
 
 
 @dataclass(frozen=True)
@@ -576,22 +596,22 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     """Decide equivalence by solving for an invertible intertwiner.
 
     dims are the dimensions of Hom(rep1, rep2) and Hom(rep2, rep1), also
-    for reps of different sizes.  Over a plain field Hom(rep1, rep2) is
-    searched first: an invertible theta in it makes Hom(rep2, rep1),
-    End(rep1) and Hom(rep1, rep2) isomorphic, so the reverse dimension is
-    the forward one and no second space is solved.  A zero intertwiner
-    space in either direction rules equivalence out, and so does a space
-    the search covered without meeting a unit: one of dimension 1, or one
-    over GF(p) with at most trials nonzero elements, enumerated whole.
-    Over a base ring the space searched is bounded by max_base_degree, so
-    neither proves anything by itself, and both directions are solved
-    before the search: Inequivalent then needs a base point q, drawn from
-    the seed, where the fibers admit no intertwiner.  That is a proof,
-    since theta in GL_t(k[t]) has a constant determinant and theta(q)
-    intertwines the fibers invertibly.  A nonzero space whose sampled
-    elements are all singular stays Inconclusive: the sample may simply
-    have missed the units, and we never promote absence of evidence to
-    Inequivalent.
+    for reps of different sizes.  Hom(rep1, rep2) is searched first, on
+    every ring.  Over a plain field an invertible theta in it makes
+    Hom(rep2, rep1), End(rep1) and Hom(rep1, rep2) isomorphic, so the
+    reverse dimension is the forward one and no second space is solved.  A
+    zero intertwiner space in either direction rules equivalence out, and
+    so does a space the search covered without meeting a unit: one of
+    dimension 1, or one over GF(p) with at most trials nonzero elements,
+    enumerated whole.  Over a base ring both spaces are bounded by
+    max_base_degree, so the reverse one is always solved for dims and
+    neither proves anything by itself: Inequivalent then needs a base
+    point q, drawn from the seed, where the fibers admit no intertwiner.
+    That is a proof, since theta in GL_t(k[t]) has a constant determinant
+    and theta(q) intertwines the fibers invertibly.  A nonzero space whose
+    sampled elements are all singular stays Inconclusive: the sample may
+    simply have missed the units, and we never promote absence of evidence
+    to Inequivalent.
 
     The search combines basis vectors of scalars and builds the Poly theta
     of the answer only; without base variables a rank decides each one.
@@ -612,12 +632,16 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
             square = [vec[i:i + size] for i in range(0, size * size, size)]
             return linalg.rank(ring.field, square) == size
     vec, used, covered = None, 0, False
-    if vecs and size == rep2.size and not ring.base_count:
+    if vecs and size == rep2.size:
         vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
-    dims = (len(vecs), len(vecs) if vec is not None
-            else len(_hom_basis(rep2, rep1, max_base_degree)[0]))
+    dims = (len(vecs), len(vecs) if vec is not None and not ring.base_count
+            else _hom_basis(rep2, rep1, max_base_degree, dim_only=True))
     if size != rep2.size:
         return EquivalenceResult("inequivalent", dims=dims, reason="size mismatch")
+    if vec is not None:
+        theta = _vector_to_theta(ring, unknowns, vec)
+        return EquivalenceResult("equivalent", theta=theta, dims=dims,
+                                 seed=seed, trials=used)
     if not all(dims):
         if not ring.base_count:
             return EquivalenceResult(
@@ -635,12 +659,6 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
             reason=f"no intertwiner of base degree <= max_base_degree="
                    f"{max_base_degree} in at least one direction, but the "
                    f"fibers at {_PROBES} seeded base points admit intertwiners")
-    if ring.base_count:
-        vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
-    if vec is not None:
-        theta = _vector_to_theta(ring, unknowns, vec)
-        return EquivalenceResult("equivalent", theta=theta, dims=dims,
-                                 seed=seed, trials=used)
     if covered and not ring.base_count:
         return EquivalenceResult(
             "inequivalent", dims=dims, seed=seed, trials=used,
@@ -702,15 +720,18 @@ class IrreducibilityResult:
     detail: str = ""
 
 
-def _closure(field, vectors, act):
-    """RREF basis of the smallest space containing vectors and closed under act.
+def _closure(field, rows: list, mats):
+    """RREF basis of the smallest row space that contains rows and stays
+    closed when each length-t block of a row is multiplied on the right by
+    every t x t matrix in mats.
 
-    act maps row vectors to all their images.  Each round acts only on the
-    rows whose pivot column is new: the images of the previous round's span
-    are already in, so every basis direction meets the generators once.
-    The rows are lists, or an int64 array over GF(p < 2^31).
+    mats is a list of matrices, or a (g, t, t) int64 array over GF(p < 2^31),
+    and the basis then an int64 array.  Each round multiplies only the rows
+    whose pivot column is new: the images of the previous round's span are
+    already in, so every basis direction meets the generators once.
     """
-    arrays = isinstance(vectors, np.ndarray)
+    arrays = isinstance(mats, np.ndarray)
+    t = len(mats[0])
 
     def span(rows):
         if arrays:
@@ -719,53 +740,38 @@ def _closure(field, vectors, act):
             reduced, pivots = linalg.rref(field, rows)
         return reduced[:len(pivots)], pivots
 
-    basis, pivots = span(vectors)
+    def grow(basis, new):
+        """basis followed by the block-wise right products of the rows new."""
+        width = len(new[0])
+        if arrays:
+            images = linalg.matmul_modp(new.reshape(-1, t), mats, field.p)
+            return np.concatenate((basis, images.reshape(-1, width)))
+        blocks = [row[i:i + t] for row in new for i in range(0, width, t)]
+        step = width // t  # blocks per row
+        for m in mats:
+            prod = linalg.mat_mul(field, blocks, m)
+            basis = basis + [[x for block in prod[k:k + step] for x in block]
+                             for k in range(0, len(prod), step)]
+        return basis
+
+    basis, pivots = span(np.array(rows, dtype=np.int64) if arrays else rows)
     new = basis
     while len(new) and len(pivots) < len(basis[0]):
         old = set(pivots)
-        basis, pivots = span(np.concatenate((basis, act(new))) if arrays
-                             else basis + act(new))
+        basis, pivots = span(grow(basis, new))
         new = [k for k, c in enumerate(pivots) if c not in old]
         new = basis[new] if arrays else [basis[k] for k in new]
     return basis
 
 
-def _generated_algebra_dim(field, mats, size: int) -> int:
-    """Dimension of the unital algebra generated by the matrices.
-
-    Product saturation: the span of flattened matrices, closed under right
-    multiplication by the generators.  ``mats`` is a list, or a (g, t, t)
-    int64 array over GF(p) for the array kernels.
-    """
-    if isinstance(mats, np.ndarray):
-        return _algebra_dim_modp(field, mats)
-
-    def right_products(rows):
-        stacked = [v[i:i + size] for v in rows for i in range(0, size * size, size)]
-        out = []
-        for g in mats:
-            prod = linalg.mat_mul(field, stacked, g)
-            out += [[x for row in prod[k:k + size] for x in row]
-                    for k in range(0, len(prod), size)]
-        return out
-
-    eye = [field.one if i == j else field.zero
-           for i in range(size) for j in range(size)]
-    flat = [[x for row in m for x in row] for m in mats]
-    return len(_closure(field, [eye] + flat, right_products))
-
-
-def _algebra_dim_modp(field, gens: np.ndarray) -> int:
-    """``_generated_algebra_dim`` of a (g, t, t) int64 array over GF(p)."""
-    g, t, _ = gens.shape
-    p = field.p
-
-    def right_products(rows):  # (k, t*t) -> (k*g, t*t)
-        return linalg.matmul_modp(rows.reshape(-1, 1, t, t), gens, p).reshape(-1, t * t)
-
-    start = np.concatenate((np.eye(t, dtype=np.int64).reshape(1, -1),
-                            gens.reshape(g, -1)))
-    return len(_closure(field, start, right_products))
+def _generated_algebra_dim(field, mats) -> int:
+    """Dimension of the unital algebra generated by the matrices (a list, or
+    a (g, t, t) int64 array over GF(p)): the closure of vec(I) and the
+    vec(A_i) under right multiplication by the A_i."""
+    t = len(mats[0])
+    eye = [[field.one if i == j else field.zero for j in range(t)] for i in range(t)]
+    return len(_closure(field, [[x for row in m for x in row] for m in [eye, *mats]],
+                        mats))
 
 
 def _full_algebra_mod_p(rep: CliffordRep) -> bool:
@@ -776,29 +782,17 @@ def _full_algebra_mod_p(rep: CliffordRep) -> bool:
         reduced = reduce_rep_mod_prime(rep, _QQ_PROOF_PRIME)
     except BadPrime:
         return False
-    gens = np.array(reduced.scalar_matrices(), dtype=np.int64)
-    return _algebra_dim_modp(reduced.ring.field, gens) == rep.size ** 2
+    return (_generated_algebra_dim(reduced.ring.field, _generators(reduced))
+            == rep.size ** 2)
 
 
 def _spin(field, mats, vec: list) -> list[list]:
     """RREF basis of the smallest subspace containing vec and invariant under
-    mats (a list, or a (g, t, t) int64 array over GF(p)).  A row v maps to
-    (m v)^T = v m^T."""
+    mats (a list, or a (g, t, t) int64 array over GF(p)): the closure of
+    [vec] under their transposes, since a row v maps to (m v)^T = v m^T."""
     if isinstance(mats, np.ndarray):
-        p, size = field.p, mats.shape[-1]
-        transposed = mats.transpose(0, 2, 1)
-
-        def images(rows):
-            return linalg.matmul_modp(rows, transposed, p).reshape(-1, size)
-
-        return _closure(field, np.array([vec], dtype=np.int64), images).tolist()
-
-    transposed = [[list(col) for col in zip(*m)] for m in mats]
-
-    def images(rows):
-        return [w for mt in transposed for w in linalg.mat_mul(field, rows, mt)]
-
-    return _closure(field, [vec], images)
+        return _closure(field, [vec], mats.transpose(0, 2, 1)).tolist()
+    return _closure(field, [vec], [list(zip(*m)) for m in mats])
 
 
 def irreducibility_check(rep: CliffordRep, seed: int = 0,
@@ -820,20 +814,18 @@ def irreducibility_check(rep: CliffordRep, seed: int = 0,
         raise InputError(f"vector trial budget must be >= 0, got {vector_trials}")
     field = rep.ring.field
     size = rep.size
-    mats = rep.scalar_matrices()
-    if _uses_arrays(field, size * size):
-        mats = np.array(mats, dtype=np.int64)
-    full_mod_p = (field.kind == "QQ" and size * size >= _ARRAY_MIN_CELLS
-                  and _full_algebra_mod_p(rep))
-    algebra_dim = size * size if full_mod_p else _generated_algebra_dim(field, mats, size)
+    mats = _generators(rep)
+    full_mod_p = field.kind == "QQ" and _full_algebra_mod_p(rep)
+    algebra_dim = size * size if full_mod_p else _generated_algebra_dim(field, mats)
     if algebra_dim == size * size:
         return IrreducibilityResult(
             "irreducible", algebra_dim,
             detail=f"generated algebra is all of {size}x{size} matrices")
     rng = random.Random(seed)
-    candidates = [[field.one if i == j else field.zero for j in range(size)]
-                  for i in range(size)]
-    candidates += [_random_scalars(field, rng, size) for _ in range(vector_trials)]
+    candidates = itertools.chain(
+        ([field.one if i == j else field.zero for j in range(size)]
+         for i in range(size)),
+        (_random_scalars(field, rng, size) for _ in range(vector_trials)))
     for v in candidates:
         if not any(v):
             continue

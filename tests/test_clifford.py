@@ -621,6 +621,27 @@ def test_package_modules_import_no_private_names():
         assert not private, f"{path.name}: imports private names {private}"
 
 
+def test_only_generators_picks_lists_or_arrays():
+    # one function decides whether a rep's A_i are a list or an int64 array
+    root = pathlib.Path(cr.__file__).parent
+    sites = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None)
+                builds = name == "array" and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "scalar_matrices"
+                    for sub in ast.walk(node))
+                if name == "_uses_arrays" or builds:
+                    sites.add((path.name, getattr(top, "name", None)))
+    assert sites == {("clifford.py", "_generators")}
+
+
 def test_direct_sum_hyperplanes(qq):
     rep = hyperplane_22(qq)
     total = cr.direct_sum(rep, rep)
@@ -744,8 +765,8 @@ def test_array_kernels_match_list_builders(data, p, nvars):
     for r in (rep, conj, summed):
         mats = r.scalar_matrices()
         arrays = np.array(mats, dtype=np.int64)
-        assert (clifford._generated_algebra_dim(field, arrays, r.size)
-                == clifford._generated_algebra_dim(field, mats, r.size))
+        assert (clifford._generated_algebra_dim(field, arrays)
+                == clifford._generated_algebra_dim(field, mats))
         vec = data.draw(st.lists(st.integers(0, p - 1), min_size=r.size,
                                  max_size=r.size))
         assert clifford._spin(field, arrays, vec) == clifford._spin(field, mats, vec)
@@ -817,6 +838,24 @@ def test_spun_hom_of_permuted_and_repeated_clock_roots(p):
     assert cr.intertwiner_basis(nonreduced, rotated) == expected
 
 
+def test_mixed_size_hom_runs_on_the_list_system():
+    # a rep with t <= 2 has list generators, so Hom against a larger rep is
+    # the Kronecker system's canonical basis
+    for p in (7, 101, 2**31 - 1):
+        field = cr.prime_field(p)
+        gamma = cr.gamma_quadric_rep(cr.PolyRing(field, 0, 2), [1, 3])
+        form = cr.parse_poly("y0 + 2*y1 + 3*y2", cr.PolyRing(field, 0, 3))
+        line = cr.hyperplane_rep(form)
+        for small, mult in ((gamma, 4), (gamma, 5), (line, 9)):
+            big = cr.twist_by_free(small, mult)
+            assert clifford._uses_arrays(field, small.size * big.size)
+            for a, b in ((small, big), (big, small)):
+                expected = list_hom_basis(a, b)
+                assert len(expected) == mult
+                assert cr.hom_space_dim(a, b) == len(expected)
+                assert cr.intertwiner_basis(a, b) == expected
+
+
 def test_qq_algebra_falls_back_when_the_proof_prime_fails(qq):
     # mod 2^31 - 1 one pair of generators squares to 0, or a denominator
     # cannot be inverted: no proof, so the exact span decides
@@ -826,7 +865,7 @@ def test_qq_algebra_falls_back_when_the_proof_prime_fails(qq):
         if big == prime:
             reduced = cr.reduce_rep_mod_prime(rep, prime)
             gens = np.array(reduced.scalar_matrices(), dtype=np.int64)
-            assert clifford._algebra_dim_modp(reduced.ring.field, gens) < 16
+            assert clifford._generated_algebra_dim(reduced.ring.field, gens) < 16
         else:
             with pytest.raises(BadPrime):
                 cr.reduce_rep_mod_prime(rep, prime)
@@ -849,6 +888,44 @@ def test_irreducibility_inconclusive_over_qq(qq):
     result = cr.irreducibility_check(rep)
     assert result.verdict == "inconclusive"
     assert result.algebra_dim == 2
+
+
+def test_small_qq_reps_keep_their_verdicts(qq):
+    # t <= 2 over QQ also tries the proof prime first; verdicts, algebra
+    # dimensions and subspaces stay those of the exact span
+    ring = cr.PolyRing(qq, 0, 2)
+    line = cr.twist_by_free(cr.hyperplane_rep(cr.parse_poly("y0 + 2*y1", ring)), 2)
+    gamma = cr.gamma_quadric_rep(ring, [1, 2])
+    matrix = [[ring.zero(), cr.parse_poly("-y0 - y1", ring)],
+              [cr.parse_poly("y0 + y1", ring), ring.zero()]]
+    rotation = cr.CliffordRep(cr.extract(matrix),
+                              cr.parse_poly("-y0^2 - 2*y0*y1 - y1^2", ring), 2)
+    assert cr.verify_relation(rotation).passed
+    expected = ((line, "reducible", 1, [[1, 0]]), (gamma, "irreducible", 4, None),
+                (rotation, "inconclusive", 2, None))
+    for rep, verdict, algebra_dim, subspace in expected:
+        for seed in (0, 1):
+            result = cr.irreducibility_check(rep, seed=seed)
+            assert (result.verdict, result.algebra_dim, result.subspace) == (
+                verdict, algebra_dim, subspace)
+
+
+def test_irreducibility_draws_vectors_only_when_spun(monkeypatch):
+    # e_0 already spins a proper subspace of the sum: no random vector is
+    # drawn, however large the budget
+    field = cr.prime_field(101)
+    rep = cr.gamma_quadric_rep(cr.PolyRing(field, 0, 6), [1, -1, 2, -2, 3, -3])
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    original = clifford._random_scalars
+    monkeypatch.setattr(clifford, "_random_scalars", counted)
+    result = cr.irreducibility_check(cr.direct_sum(rep, rep), vector_trials=10_000)
+    assert result.verdict == "reducible"
+    assert draws == []
 
 
 # -- base change -------------------------------------------------------------------
@@ -935,6 +1012,27 @@ def test_bounded_base_degree_is_no_proof_of_inequivalence(qq):
         assert result.dims == (0, 0)
         assert "max_base_degree=2" in result.reason
     assert cr.equivalence_test(rep, other, max_base_degree=3).verdict == "equivalent"
+
+
+def test_base_ring_equivalence_by_the_searched_space(qq):
+    # theta = [[1, t1^2, 0], [0, 1, t1^2], [0, 0, 1]] has determinant 1 and
+    # spans Hom(rep, other) within max_base_degree = 2; its inverse has a
+    # t1^4 entry, so the reverse space is zero there.  theta still proves
+    # equivalence.
+    ring = cr.PolyRing(qq, 1, 2)
+    rep = cr.clock_shift_rep(cr.SplitBinaryForm.from_roots(ring, [1, 2, 4]))
+    square = cr.parse_poly("t1^2", ring)
+    one, zero = ring.one(), ring.zero()
+    theta = [[one, square, zero], [zero, one, square], [zero, zero, one]]
+    theta_inv = [[one, -square, square * square], [zero, one, -square],
+                 [zero, zero, one]]
+    matrix = cr.mat_mul(cr.mat_mul(theta, cr.assemble(rep.pencil)), theta_inv)
+    other = cr.CliffordRep(cr.extract(matrix), rep.f, 3)
+    assert cr.verify_relation(other).passed
+    result = cr.equivalence_test(rep, other)
+    assert (result.verdict, result.dims, result.trials) == ("equivalent", (1, 0), 1)
+    assert cr.mat_eq(result.theta, theta)
+    _assert_intertwines(result.theta, rep, other)
 
 
 def test_fiber_proof_of_inequivalence(qq):

@@ -153,6 +153,9 @@ def cmd_ulrich_check(args) -> int:
     config = ulrich.CertificateConfig(max_degree=args.max_degree,
                                       sample_prime=args.prime, seed=args.seed)
     if args.corpus is not None:
+        if args.json:
+            raise InputError("--corpus writes a CSV summary; --json needs a "
+                             "single pencil")
         return _corpus(args, config)
     rep, digest = read_pencil(args.pencil)
     cert = ulrich.ulrich_certificate(rep, config)
@@ -193,6 +196,8 @@ def _corpus(args, config) -> int:
 def cmd_cohomology(args) -> int:
     if args.n < 2:
         raise InputError("need ambient dimension n >= 2")
+    if args.csv and args.json:
+        raise InputError("--csv and --json both write to stdout; pick one")
     twists = [args.j] if args.j is not None else list(range(1, args.n))
     report = Report(subject=f"cohomology n={args.n} d={args.d}")
     all_zero = True

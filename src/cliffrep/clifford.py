@@ -548,18 +548,8 @@ class EquivalenceResult:
     theta: PolyMatrix | None = None
     dims: tuple[int, int] = (0, 0)    # intertwiner dims rep1->rep2, rep2->rep1
     reason: str = ""
-    seed: int | None = None
-    trials: int = 0
-
-
-def _is_unit_matrix(theta: PolyMatrix) -> bool:
-    """det(theta) is a unit: a nonzero constant of the coefficient field."""
-    if all(x.is_constant() for row in theta for x in row):
-        field = theta[0][0].ring.field
-        values = [[x.constant() for x in row] for row in theta]
-        return linalg.rank(field, values) == len(theta)
-    d = poly_matrix_det(theta)  # only entries in the base variables need it
-    return (not d.is_zero()) and d.is_constant()
+    seed: int | None = None           # the seed of the search; every verdict has it
+    trials: int = 0                   # elements of Hom(rep1, rep2) checked
 
 
 def _search_invertible(field, vecs: list, is_unit, seed: int, trials: int):
@@ -613,8 +603,10 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     simply have missed the units, and we never promote absence of evidence
     to Inequivalent.
 
-    The search combines basis vectors of scalars and builds the Poly theta
-    of the answer only; without base variables a rank decides each one.
+    Every verdict carries its seed, and trials counts the elements of
+    Hom(rep1, rep2) checked.  The search combines basis vectors of scalars
+    and builds the Poly theta of the answer only: a rank decides a theta of
+    constants, and only base-variable entries need a symbolic determinant.
     """
     _check_compatible(rep1, rep2)
     if trials < 0:
@@ -624,50 +616,49 @@ def equivalence_test(rep1: CliffordRep, rep2: CliffordRep, seed: int = 0,
     ring = rep1.ring
     size = rep1.size
     vecs, unknowns = _hom_basis(rep1, rep2, max_base_degree)
-    if ring.base_count:
-        def is_unit(vec):
-            return _is_unit_matrix(_vector_to_theta(ring, unknowns, vec))
-    else:
-        def is_unit(vec):
-            square = [vec[i:i + size] for i in range(0, size * size, size)]
-            return linalg.rank(ring.field, square) == size
+    nm = len(unknowns) // (size * rep2.size)  # base monomials, the constant first
+
+    def is_unit(vec):
+        if ring.base_count and any(c for k, c in enumerate(vec) if k % nm):
+            d = poly_matrix_det(_vector_to_theta(ring, unknowns, vec))
+            return (not d.is_zero()) and d.is_constant()
+        scalars = vec[::nm]
+        square = [scalars[i:i + size] for i in range(0, size * size, size)]
+        return linalg.rank(ring.field, square) == size
+
     vec, used, covered = None, 0, False
     if vecs and size == rep2.size:
         vec, used, covered = _search_invertible(ring.field, vecs, is_unit, seed, trials)
     dims = (len(vecs), len(vecs) if vec is not None and not ring.base_count
             else _hom_basis(rep2, rep1, max_base_degree, dim_only=True))
+    theta, reason = None, ""
     if size != rep2.size:
-        return EquivalenceResult("inequivalent", dims=dims, reason="size mismatch")
-    if vec is not None:
-        theta = _vector_to_theta(ring, unknowns, vec)
-        return EquivalenceResult("equivalent", theta=theta, dims=dims,
-                                 seed=seed, trials=used)
-    if not all(dims):
-        if not ring.base_count:
-            return EquivalenceResult(
-                "inequivalent", dims=dims,
-                reason="intertwiner space is zero in at least one direction")
-        for point in _seeded_points(ring.field, ring.names[ring.fiber_count:], seed):
-            if not hom_space_dim(specialize_rep(rep1, point),
-                                 specialize_rep(rep2, point)):
-                at = ", ".join(f"{name}={v}" for name, v in point.items())
-                return EquivalenceResult(
-                    "inequivalent", dims=dims, seed=seed,
-                    reason=f"the fibers at {at} admit no intertwiner")
-        return EquivalenceResult(
-            "inconclusive", dims=dims, seed=seed,
-            reason=f"no intertwiner of base degree <= max_base_degree="
-                   f"{max_base_degree} in at least one direction, but the "
-                   f"fibers at {_PROBES} seeded base points admit intertwiners")
-    if covered and not ring.base_count:
-        return EquivalenceResult(
-            "inequivalent", dims=dims, seed=seed, trials=used,
-            reason=f"intertwiner dims {dims}: the {used} element(s) checked "
-                   f"cover the span up to scalars and all are singular")
-    return EquivalenceResult("inconclusive", dims=dims,
-                             reason="nonzero intertwiner space, no invertible "
-                                    "element found within the trial budget",
-                             seed=seed, trials=used)
+        verdict, reason = "inequivalent", "size mismatch"
+    elif vec is not None:
+        verdict, theta = "equivalent", _vector_to_theta(ring, unknowns, vec)
+    elif not all(dims) and not ring.base_count:
+        verdict = "inequivalent"
+        reason = "intertwiner space is zero in at least one direction"
+    elif not all(dims):
+        points = _seeded_points(ring.field, ring.names[ring.fiber_count:], seed)
+        point = next((q for q in points if not hom_space_dim(
+            specialize_rep(rep1, q), specialize_rep(rep2, q))), None)
+        if point is None:
+            verdict = "inconclusive"
+            reason = (f"no intertwiner of base degree <= max_base_degree="
+                      f"{max_base_degree} in at least one direction, but the "
+                      f"fibers at {_PROBES} seeded base points admit intertwiners")
+        else:
+            at = ", ".join(f"{name}={v}" for name, v in point.items())
+            verdict, reason = "inequivalent", f"the fibers at {at} admit no intertwiner"
+    elif covered and not ring.base_count:
+        verdict = "inequivalent"
+        reason = (f"intertwiner dims {dims}: the {used} element(s) checked "
+                  f"cover the span up to scalars and all are singular")
+    else:
+        verdict, reason = "inconclusive", ("nonzero intertwiner space, no invertible "
+                                           "element found within the trial budget")
+    return EquivalenceResult(verdict, theta, dims, reason, seed, used)
 
 
 # -- sums and twists -----------------------------------------------------------

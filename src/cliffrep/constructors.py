@@ -388,8 +388,9 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
         raise InputError(f"size t={t} must be a multiple of d={d}: other sizes "
                          "cannot carry the relation")
     f.require_y_homogeneous(d, "search form")
-    if f.has_base_vars():
-        raise InputError("search forms must be base-free")
+    if ring.base_count or f.has_base_vars():
+        raise InputError("random search runs over base-free rings: its forms and "
+                         "candidates have no base variables")
     p = field.p
     nfib = ring.fiber_count
     scalars = []

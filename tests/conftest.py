@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 import cliffrep as cr
 from cliffrep import clifford, linalg, polymat, ulrich
+
+# A failing example is reported as drawn: shrinking a test that fails on
+# every example can run for minutes before it prints anything.
+settings.register_profile("no-shrink",
+                          phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("no-shrink")
 
 
 def quadric_ring(field):

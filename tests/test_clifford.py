@@ -352,6 +352,28 @@ def test_equivalence_zero_intertwiner_space(qq):
     assert result.dims == (0, 0)
 
 
+def test_equivalence_reports_trials_before_a_zero_space():
+    # over GF(7) with f = y0^2, M1 = (I, 0) is S+ + S+ and M2 = (diag(1, -1),
+    # [[0, 1], [0, 0]]) the non-split extension: Hom(M1, M2) holds 48 nonzero
+    # singular elements, all checked, and Hom(M2, M1) is zero
+    gf7 = cr.prime_field(7)
+    ring = cr.PolyRing(gf7, 0, 2)
+    f = cr.parse_poly("y0^2", ring)
+
+    def rep(a0, a1):
+        mats = [[[gf7.of(x) for x in row] for row in m] for m in (a0, a1)]
+        out = cr.CliffordRep(cr.LinearPencil.from_coefficients(
+            ring, 2, dict(zip(pencil.fiber_keys(ring), mats))), f, 2)
+        assert cr.verify_relation(out).passed
+        return out
+
+    m1 = rep([[1, 0], [0, 1]], [[0, 0], [0, 0]])
+    m2 = rep([[1, 0], [0, -1]], [[0, 1], [0, 0]])
+    result = cr.equivalence_test(m1, m2, seed=0)
+    assert (result.verdict, result.dims) == ("inequivalent", (2, 0))
+    assert (result.trials, result.seed) == (48, 0)
+
+
 def test_equivalence_inconclusive_case(qq):
     # y0*I vs y0*diag(1,-1): nonzero intertwiner space, every element singular
     ring = cr.PolyRing(qq, 0, 1)
@@ -965,7 +987,7 @@ def test_base_change_parametrized_quadric(qq):
         assert fiber.pencil == cr.specialize(rep.pencil, point)
 
 
-def test_equivalence_with_base_parameters(qq):
+def test_equivalence_with_base_parameters(qq, det_calls):
     # conjugation by a constant matrix over the base ring is detected with
     # the bounded-degree intertwiner search
     rep = parametrized_quadric(qq)
@@ -973,6 +995,11 @@ def test_equivalence_with_base_parameters(qq):
     other = cr.conjugate(rep, theta)
     result = cr.equivalence_test(rep, other, max_base_degree=1)
     assert result.verdict == "equivalent"
+    # only a theta with base-variable entries takes a symbolic determinant
+    assert det_calls
+    det_calls.clear()
+    cr.equivalence_test(rep, other, max_base_degree=0)
+    assert det_calls == []
 
 
 def test_negative_base_degree_is_an_input_error(qq):

@@ -300,6 +300,10 @@ def test_random_search_rejects_bad_inputs(qq):
     f = cr.parse_poly("y0^2 - y1^2", ring)
     with pytest.raises(InputError):
         cr.random_search(ring, f, 2, 3, seed=0, budget=10)
+    # base variables: the dedupe could then never prove two hits inequivalent
+    ringb = cr.PolyRing(cr.prime_field(5), 1, 2)
+    with pytest.raises(InputError):
+        cr.random_search(ringb, cr.parse_poly("y0*y1", ringb), 2, 2, seed=1, budget=10)
 
 
 def test_random_search_deterministic():

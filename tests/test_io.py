@@ -205,6 +205,10 @@ def test_cli_rejects_bad_variable_counts(tmp_path, capsys):
     doc.write_text(json.dumps({"field": "QQ", "fiber_vars": 0, "matrices": []}))
     assert cli_dispatch(["verify", str(doc)]) == 3
     assert capsys.readouterr().err.count("error:") == 3
+    # a search ring with base variables
+    assert cli_dispatch(["search", "--field", "GF(5)", "--base-vars", "1",
+                         "--f", "y0*y1", "--d", "2", "--t", "2"]) == 3
+    assert "base-free" in capsys.readouterr().err
 
 
 def test_cli_search(tmp_path, capsys):
@@ -299,7 +303,9 @@ def test_cli_input_errors(tmp_path, capsys):
                  ["construct", "block-mf"], ["construct", "cyclic"],
                  ["ulrich-check"], ["ulrich-check", str(line), "--corpus", str(tmp_path)],
                  ["ulrich-check", str(line), "--max-degree", "-1"],
-                 ["cohomology", "--n", "1", "--d", "2", "--assert-ulrich"]):
+                 ["cohomology", "--n", "1", "--d", "2", "--assert-ulrich"],
+                 ["cohomology", "--n", "3", "--d", "2", "--csv", "--json"],
+                 ["ulrich-check", "--corpus", str(tmp_path), "--json"]):
         assert cli_dispatch(argv) == 3
     search = ["search", "--field", "GF(3)", "--f", "y0^2 - y1^2"]
     for d, t in (("0", "2"), ("2", "0"), ("2", "-2")):

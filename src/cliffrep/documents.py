@@ -19,10 +19,10 @@ from .reports import digest_bytes
 
 
 def _integer(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"document key {key!r} must be an integer, got {value!r}") from exc
+    # a JSON integer only: no float to truncate, no bool, no numeric string
+    if type(value) is not int:
+        raise InputError(f"document key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _text(value, what: str) -> str:

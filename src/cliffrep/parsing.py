@@ -41,14 +41,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
+    def __init__(self, tokens, ring: PolyRing, end: int):
         self.tokens = tokens
+        self.end = end  # the column just past the last non-blank character
         self.i = 0
         self.ring = ring
         self.field = ring.field
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def next(self):
         tok = self.peek()
@@ -89,7 +90,7 @@ class _Parser:
             self.next()
             dkind, dval, dcol = self.peek()
             if dkind != "int":
-                raise ParseError("expected integer denominator", dcol or slash_col)
+                raise ParseError("expected integer denominator", dcol)
             self.next()
             den = int(dval)
             if den == 0:
@@ -157,4 +158,4 @@ class _Parser:
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
     """Parse polynomial text into a canonical Poly of the given ring."""
-    return _Parser(_tokenize(text), ring).parse()
+    return _Parser(_tokenize(text), ring, len(text.rstrip()) + 1).parse()

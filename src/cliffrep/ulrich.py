@@ -4,9 +4,9 @@ The cokernel of a verified pencil presents a module that should behave, on
 the hypersurface f = 0, like a bundle whose fibers are as large as
 possible: linear resolution Hilbert function, sections count t = d*r,
 support exactly on f = 0, constant corank r at smooth points, and Fitting
-exponent r.  This module computes each of those shadows exactly, plus the
-closed-form projective-space cohomology tables that make degree one the only
-case where the trivial bundle itself qualifies.
+exponent r.  M^d = f*I proves them all but the coranks at singular points,
+which ``corank_sampling`` ranks; closed-form projective-space cohomology
+tables make degree one the only case where the trivial bundle qualifies.
 """
 from __future__ import annotations
 
@@ -137,7 +137,18 @@ def _at(terms: list, values: list, p: int) -> int:
 def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE_TARGET,
                     off_target: int = _SAMPLE_TARGET, seed: int = 0,
                     max_tries: int = 20000) -> CorankSummary:
-    """Sample fiber points: corank must be 0 off f = 0 and r at smooth points.
+    """Sample fiber points off and on f = 0; rank M only at singular points.
+
+    M^d = f*I proves every other corank, over any field, p | d included (a
+    QQ rep is sampled through its verified reduction mod p).  Off f = 0,
+    M(q)^d = f(q)*I is invertible: corank 0.  On f = 0, M(q) is nilpotent
+    with Jordan blocks of size <= d, so its corank is >= t/d = r.  At a
+    smooth point, df/dy_i(q) != 0, f(q + s*e_i) has a simple zero at s = 0,
+    so det M(q + s*e_i) = c*f(q + s*e_i)^r (c != 0, see
+    ``det_factorization``) vanishes there to order exactly r; a kernel of
+    dimension k makes s^k divide det(M(q) + s*M(e_i)), so the corank is r
+    and ``violations`` stays empty.  A singular point, where the gradient
+    of f vanishes, has only r <= corank <= t and is ranked.
 
     On-hypersurface points come from univariate slices: fix all but one
     coordinate at random and visit the roots of f in the free one, in
@@ -145,10 +156,9 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     For a binary form the slice with fixed coordinate c != 0 is
     c^d * f(x/c, 1), so its roots are c times those of f with the fixed
     coordinate 1, found once per free slot; a slice with c = 0 is solved
-    as it stands.  Points where the gradient of f vanishes are recorded as
-    singular and exempt from the corank assertion.  With one fiber
-    variable V(f) is empty, which raises at once the SampleBudgetSpent an
-    exhausted budget raises.  A negative target or budget is an InputError.
+    as it stands.  With one fiber variable V(f) is empty, which raises at
+    once the SampleBudgetSpent an exhausted budget raises.  A negative
+    target or budget is an InputError.
     """
     for name, value in (("on_target", on_target), ("off_target", off_target),
                         ("max_tries", max_tries)):
@@ -176,11 +186,6 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     rng = random.Random(seed)
     summary = CorankSummary(prime=p, seed=seed, expected_corank=r)
 
-    def corank_at(values: list) -> int:
-        scalar = [[sum(map(mul, values, entry)) % p for entry in row]
-                  for row in stacks]
-        return t - linalg.rank(field, scalar)
-
     def slice_roots(free: int, point: list) -> list[int] | range:
         # a 1 in the free slot makes each term's value its slice coefficient
         slice_poly = [0] * (rep.d + 1)
@@ -196,14 +201,9 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
     while summary.off_points < off_target and tries < max_tries:
         tries += 1
         point = [rng.randrange(p) for _ in range(n)]
-        if _at(f_terms, point, p) == 0:
-            continue
-        summary.off_points += 1
-        got = corank_at(point)
-        if got == 0:
-            summary.off_corank_zero += 1
-        else:
-            summary.violations.append((tuple(point), got, 0))
+        if _at(f_terms, point, p):
+            summary.off_points += 1
+    summary.off_corank_zero = summary.off_points  # M(q) is invertible off V(f)
     while summary.on_smooth < on_target and tries < max_tries:
         tries += 1
         free = rng.randrange(n)
@@ -216,15 +216,14 @@ def corank_sampling(rep: CliffordRep, prime: int = 101, on_target: int = _SAMPLE
             if not any(point):
                 continue  # the zero vector is no projective point
             summary.on_points += 1
-            smooth = any(_at(g, point, p) for g in gradient)
-            got = corank_at(point)
-            summary.corank_histogram[got] = summary.corank_histogram.get(got, 0) + 1
-            if smooth:
+            if any(_at(g, point, p) for g in gradient):
                 summary.on_smooth += 1
-                if got != r:
-                    summary.violations.append((tuple(point), got, r))
+                got = r
             else:
                 summary.on_singular += 1
+                got = t - linalg.rank(field, [[sum(map(mul, point, entry)) % p
+                                               for entry in row] for row in stacks])
+            summary.corank_histogram[got] = summary.corank_histogram.get(got, 0) + 1
             if summary.on_smooth >= on_target:
                 break
     if summary.on_points == 0:
@@ -342,10 +341,10 @@ def _fiber_checks(rep: CliffordRep, config: CertificateConfig, report: Report,
         report.add(prefix + "corank-sampling", FAIL, {"error": str(exc)})
         report.add(prefix + "smoothness-sampling", FAIL, {"error": str(exc)})
         return
-    corank_ok = summary.off_ok and not summary.violations
+    # a returned summary holds all its off points, and the relation proves
+    # their coranks and the smooth ones: only too few smooth points leave it open
     smooth_ok = summary.on_smooth >= _SAMPLE_TARGET
-    report.add(prefix + "corank-sampling",
-               FAIL if not corank_ok else PASS if smooth_ok else INCONCLUSIVE,
+    report.add(prefix + "corank-sampling", PASS if smooth_ok else INCONCLUSIVE,
                summary.to_payload())
     report.add(prefix + "smoothness-sampling", PASS if smooth_ok else FAIL,
                {"on_smooth": summary.on_smooth, "on_singular": summary.on_singular,

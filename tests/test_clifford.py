@@ -587,6 +587,9 @@ def test_conjugate_rejects_a_wrong_size_theta(qq):
     eye3 = [[qq.one if i == j else qq.zero for j in range(3)] for i in range(3)]
     with pytest.raises(ShapeMismatch):
         cr.conjugate(rep, eye3)
+    singular = [[qq.one, qq.zero], [qq.one, qq.zero]]
+    with pytest.raises(InputError, match="singular"):
+        cr.conjugate(rep, singular)
 
 
 def test_conjugate_takes_theta_into_the_field(block_rep_qq):

@@ -286,7 +286,11 @@ def test_cli_input_errors(tmp_path, capsys):
             "matrices": [[["1"]], [["0"]]]}
     ragged = [[["1", "0"], ["0", "0", "0"]], [["0", "0"], ["0", "0"]]]
     for doc in (dict(good, degree="two"), dict(good, fiber_vars="x"), [good],
-                dict(good, matrices=[[[1]], [["0"]]]), dict(good, matrices=ragged)):
+                dict(good, matrices=[[[1]], [["0"]]]), dict(good, matrices=ragged),
+                # counts are JSON integers: no truncated float, bool or string
+                dict(good, fiber_vars=2.5), dict(good, degree=1.5),
+                dict(good, size=1.5), dict(good, degree=True),
+                dict(good, base_vars=0.5), dict(good, degree="1")):
         bad.write_text(json.dumps(doc))
         assert cli_dispatch(["verify", str(bad)]) == 3
     bad.write_text(json.dumps(good))

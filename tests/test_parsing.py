@@ -54,6 +54,13 @@ def test_parse_errors_carry_position():
     assert info.value.position == 6
     with pytest.raises(UnknownVariable):
         cr.parse_poly("y0 + z3", ring)
+    # an error at the end of the text points just past its last character,
+    # one inside it at the token that does not fit
+    for text, position in (("y0 +", 5), ("y0^", 4), ("2*", 3), ("-", 2),
+                           ("y0 y1", 4)):
+        with pytest.raises(ParseError) as info:
+            cr.parse_poly(text, ring)
+        assert info.value.position == position, text
 
 
 def test_parse_field_mismatch():

@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 import cliffrep as cr
-from cliffrep import linalg
+from cliffrep import linalg, ulrich
 from cliffrep.errors import BadPrime, InputError, SampleBudgetSpent, UnsupportedBase
-from conftest import block_quadric_rep, clock_rep, paper_f, paper_phi, quadric_ring
+from cliffrep.pencil import pencil_at
+from conftest import (block_quadric_rep, clock_rep, paper_f, paper_phi, quadric_ring,
+                      random_invertible)
 
 
 # -- Hilbert functions ---------------------------------------------------------
@@ -161,8 +164,8 @@ def test_corank_payload_pinned(name):
     assert pinned_sampling(name).to_payload() == PINNED_PAYLOADS[name]
 
 
-def ranked_case(name):
-    """(rep, sampling keywords) of one case whose ranked points are pinned."""
+def sampled_case(name):
+    """(rep, sampling keywords) of one case whose visited points are pinned."""
     qq, gf7, gf101 = cr.rationals(), cr.prime_field(7), cr.prime_field(101)
     return {
         "clock_7": (clock_rep(gf7, [1, 2, 4]), {}),
@@ -176,35 +179,44 @@ def ranked_case(name):
     }[name]
 
 
-# sha256 of the repr of every matrix corank_sampling ranks, seeds 0-3 in turn,
-# recorded while each slice was solved from scratch by gcds with x^p - x:
-# the seeded draws, the points and their order must not move
-PINNED_RANKED_POINTS = {
-    "block_qq_1009": "71f29c58f50daad006dae664d966891553a475120c926d8f516a16578c30b344",
-    "clock_101": "f4a5f8b7e440d7b81fc9798df4ccc3090eb5937d8792afd40225e6eae05ebb56",
-    "clock_10007": "7482e8a1d92af3847e94d86c088015c1b8a9000f03f610a2953fb64097a8c046",
-    "clock_7": "318479b9c2c9b6606b8f710990398a9632efa13bfb6521a2edd1b66a7c6a2993",
-    "gamma4_101": "16d6168a270596fe8401f127cdd211cba0bfaeb67901479698190aa2f1530304",
-    "nonreduced_qq": "538b7adfea7faf7ffeaa51ed5edc26a25a2d9a17613d0a6b6cf503979216bd56",
-    "quadric_7": "9280830e8a390baf3512e4934fb4953b20ce78387ec02e7b06c7d9f7a80ee062",
+# sha256 of the repr of the point of every evaluation of f or of its gradient
+# in corank_sampling, seeds 0-3 in turn, recorded while every off and smooth
+# point was still ranked: the seeded draws, the points and their order must
+# not move
+PINNED_VISITED_POINTS = {
+    "block_qq_1009": "f37f08c3b5a01d6f3af1a7f61f2c04263190c91c70c0b23e9e39f159e6ab09de",
+    "clock_101": "15a5433a352b4676934977799d3e453b09608ff05ca60c7fe95740d3e56eea07",
+    "clock_10007": "84c03bf1c5e1068f8175fddbd8e97519fe3fff3afdca9c76a885a9b070c4eb0b",
+    "clock_7": "d9f3c3cafa925a511afd30c63e19c08a1312d556258be5aa932a87c78cb07c12",
+    "gamma4_101": "ed5801026fafdd899cba198a88149fbab35ea982651836313e0600f62677ec94",
+    "nonreduced_qq": "11fc55210db3cb06ff562de7551492c0162e999d430e7087e236a59216acfb4a",
+    "quadric_7": "a15fcbeee5c2672d191f765ad34aab6560fc4d1784a4615fd1e006336f6c624b",
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_RANKED_POINTS))
-def test_corank_ranked_points_pinned(name, monkeypatch):
-    ranked = []
-    original = linalg.rank
+@pytest.mark.parametrize("name", sorted(PINNED_VISITED_POINTS))
+def test_corank_visited_points_pinned(name, monkeypatch):
+    visited, ranked = [], []
+    at, rank = ulrich._at, linalg.rank
 
-    def recording(field, matrix):
+    def recording_at(terms, values, p):
+        visited.append(tuple(values))
+        return at(terms, values, p)
+
+    def recording_rank(field, matrix):
         ranked.append(matrix)
-        return original(field, matrix)
+        return rank(field, matrix)
 
-    monkeypatch.setattr(linalg, "rank", recording)
-    rep, keywords = ranked_case(name)
-    for seed in range(4):
-        cr.corank_sampling(rep, seed=seed, **keywords)
-    digest = hashlib.sha256(repr(ranked).encode()).hexdigest()
-    assert digest == PINNED_RANKED_POINTS[name]
+    monkeypatch.setattr(ulrich, "_at", recording_at)
+    monkeypatch.setattr(linalg, "rank", recording_rank)
+    rep, keywords = sampled_case(name)
+    singular = sum(cr.corank_sampling(rep, seed=seed, **keywords).on_singular
+                   for seed in range(4))
+    digest = hashlib.sha256(repr(visited).encode()).hexdigest()
+    assert digest == PINNED_VISITED_POINTS[name]
+    # the relation fixes the corank off V(f) and at smooth points: only
+    # singular points are ranked
+    assert len(ranked) == singular
 
 
 def test_corank_sampling_rejects_negative_budgets():
@@ -230,6 +242,57 @@ def test_corank_clock_cubic_large_prime():
     assert summary.on_smooth == 20 and summary.off_ok
     assert not summary.violations
     assert summary.corank_histogram == {1: 20}
+
+
+def projective_points(n, p):
+    """Every point of P^(n-1)(GF(p)), its first nonzero coordinate 1."""
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def partials(f, p):
+    return [cr.Poly(f.ring, {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i] % p
+                             for exp, c in f.terms.items() if c * exp[i] % p})
+            for i in range(f.ring.nvars)]
+
+
+def test_relation_fixes_coranks_at_every_point():
+    # the proof corank_sampling rests on, checked by ranking M(q) at every
+    # point, p | d included: corank 0 off V(f), r at smooth points and
+    # r <= corank <= t at singular ones
+    gf = cr.prime_field
+
+    def gamma(p, coeffs):
+        return cr.gamma_quadric_rep(cr.PolyRing(gf(p), 0, len(coeffs)), coeffs)
+
+    gamma4 = gamma(7, [1, 2, 3, 4])
+    theta = random_invertible(gf(7), gamma4.size, random.Random(0))
+    reps = [clock_rep(gf(2), [0, 1]), clock_rep(gf(2), [1, 1]),
+            clock_rep(gf(3), [0, 1, 2]), clock_rep(gf(3), [1, 1, 1]),
+            clock_rep(gf(5), [1, 1, 1]), clock_rep(gf(7), [1, 2, 4]),
+            clock_rep(gf(7), [1, 1, 2]), gamma(3, [1, 1, 2]), gamma(7, [1, 2, 3]),
+            gamma4, block_quadric_rep(gf(7)),
+            cr.direct_sum(gamma4, cr.conjugate(gamma4, theta)),
+            cr.twist_by_free(clock_rep(gf(7), [1, 2, 4]), 2)]
+    seen = {"off": 0, "smooth": 0, "singular": 0}
+    for rep in reps:
+        assert rep.verified
+        field, t, r = rep.ring.field, rep.size, rep.clifford_index
+        gradient = partials(rep.f, field.p)
+        for values in projective_points(rep.ring.fiber_count, field.p):
+            point = dict(zip(rep.ring.names, values))
+            corank = t - linalg.rank(field, pencil_at(rep.pencil, point))
+            if rep.f.evaluate(point).constant():
+                seen["off"] += 1
+                assert corank == 0, (rep, values)
+            elif any(g.evaluate(point).constant() for g in gradient):
+                seen["smooth"] += 1
+                assert corank == r, (rep, values)
+            else:
+                seen["singular"] += 1
+                assert r <= corank <= t, (rep, values)
+    assert all(seen.values()), seen
 
 
 # -- Fitting exponent --------------------------------------------------------------
@@ -334,6 +397,13 @@ def test_certificate_mf_only_probe_on_non_multiple_of_f(qq):
     [relation] = cert.report.records
     assert relation.name == "clifford-relation" and relation.status == "fail"
     assert "mf_only" not in relation.witness
+    # det(y0*I) = y0^2 is no constant times f = y0*y1
+    y0 = ring.var("y0")
+    cert = cr.ulrich_certificate(cr.CliffordRep(
+        cr.extract([[y0, ring.zero()], [ring.zero(), y0]]),
+        cr.parse_poly("y0*y1", ring), 2))
+    [relation] = cert.report.records
+    assert relation.status == "fail" and "mf_only" not in relation.witness
 
 
 def test_certificate_nonreduced_clock(qq):

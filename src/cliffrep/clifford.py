@@ -22,14 +22,20 @@ give the same answers: an RREF depends only on the row space, and the
 canonical basis of a Hom space depends only on the space.  ``_hom_basis``
 is the one place that picks between them, for every Hom space and Hom
 dimension.
+
+numpy is imported by the array kernels alone, when one first runs: by
+``_generators`` when it builds an array, and by the spin, the spun Hom
+system and the array branch of ``_closure``.  So ``equiv`` and
+``irreducible`` at t >= 3 over GF(p < 2^31) (and ``irreducible`` over QQ,
+whose algebra span is taken mod 2^31 - 1), Hom dimensions and ``search``
+load it; ``ulrich-check``, ``verify``, ``det``, ``cohomology``,
+``construct`` and ``specialize`` never do.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .errors import (BadPrime, DivisionFails, InputError, InternalInconsistency,
@@ -361,7 +367,7 @@ _QQ_PROOF_PRIME = (1 << 31) - 1
 def _uses_arrays(field, cells: int) -> bool:
     """Whether a kernel over field on matrices of this many entries runs on
     int64 arrays."""
-    return (field.kind == "GF" and linalg.modp_dtype(field.p) is np.int64
+    return (field.kind == "GF" and linalg.fits_int64(field.p)
             and cells >= _ARRAY_MIN_CELLS)
 
 
@@ -369,11 +375,12 @@ def _generators(rep: CliffordRep):
     """The A_i of a base-free rep: a (g, t, t) int64 array when its kernels
     run on arrays, else a list of matrices.  The one place that decides."""
     if _uses_arrays(rep.ring.field, rep.size * rep.size):
+        import numpy as np
         return np.array(rep.scalar_matrices(), dtype=np.int64)
     return rep.scalar_matrices()
 
 
-def _spin_module(gens1: np.ndarray, gens2: np.ndarray, p: int):
+def _spin_module(gens1, gens2, p: int):
     """Spin M1 = k^t1 under the (g, t1, t1) array gens1 from standard
     vectors, one breadth-first layer at a time.
 
@@ -384,6 +391,7 @@ def _spin_module(gens1: np.ndarray, gens2: np.ndarray, p: int):
     basis rows b_j, their words, the seed number of each and the images
     A1_i*b_j as a (g, t1, t1) array of rows.
     """
+    import numpy as np
     t1, t2 = gens1.shape[-1], gens2.shape[-1]
     gens1_t = gens1.transpose(0, 2, 1)  # a row b maps to (A b)^T = b A^T
     eye = np.eye(t1, dtype=np.int64)
@@ -423,7 +431,7 @@ def _spin_module(gens1: np.ndarray, gens2: np.ndarray, p: int):
             np.concatenate(images, axis=1))
 
 
-def _spun_system(gens1: np.ndarray, gens2: np.ndarray, p: int):
+def _spun_system(gens1, gens2, p: int):
     """The homomorphism equations of the MeatAxe (Parker 1984; Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, section 7.5) over
     GF(p < 2^31), from the (g, t1, t1) and (g, t2, t2) generator arrays.
@@ -436,6 +444,7 @@ def _spun_system(gens1: np.ndarray, gens2: np.ndarray, p: int):
     sum_v (A1_i*b_j)[v]*Psi_v*u = A2_i*Phi_j*u.  Returns the rows of that
     system (zero rows dropped) and Psi as a (t1*t2, s*t2) array.
     """
+    import numpy as np
     g, t1, t2 = len(gens1), gens1.shape[-1], gens2.shape[-1]
     basis, words, seeds, images = _spin_module(gens1, gens2, p)
     s = int(seeds.max()) + 1
@@ -452,7 +461,7 @@ def _spun_system(gens1: np.ndarray, gens2: np.ndarray, p: int):
     return system[system.any(axis=1)], psi.reshape(t1 * t2, s * t2)
 
 
-def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int, dim_only: bool):
+def _spun_basis(gens1, gens2, p: int, dim_only: bool):
     """The canonical basis of Hom(M1, M2) over GF(p < 2^31): the rows that
     ``linalg.nullspace`` gives for ``intertwiner_system``, over the
     row-major entries of theta.  With dim_only, just its dimension: the
@@ -462,6 +471,7 @@ def _spun_basis(gens1: np.ndarray, gens2: np.ndarray, p: int, dim_only: bool):
     by free column, and any basis of the space gives it back: the RREF with
     the columns reversed has the free columns as its pivots.
     """
+    import numpy as np
     t1, t2 = gens1.shape[-1], gens2.shape[-1]
     system, psi = _spun_system(gens1, gens2, p)
     cols = system.shape[1]
@@ -491,7 +501,7 @@ def _hom_basis(rep1: CliffordRep, rep2: CliffordRep, max_base_degree: int,
     field = ring.field
     if not ring.base_count:
         gens1, gens2 = _generators(rep1), _generators(rep2)
-        if isinstance(gens1, np.ndarray) and isinstance(gens2, np.ndarray):
+        if not (isinstance(gens1, list) or isinstance(gens2, list)):
             basis = _spun_basis(gens1, gens2, field.p, dim_only)
             if dim_only:
                 return basis
@@ -721,7 +731,10 @@ def _closure(field, rows: list, mats):
     whose pivot column is new: the images of the previous round's span are
     already in, so every basis direction meets the generators once.
     """
-    arrays = isinstance(mats, np.ndarray)
+    arrays = not isinstance(mats, list)
+    if arrays:
+        import numpy as np
+        rows = np.array(rows, dtype=np.int64)
     t = len(mats[0])
 
     def span(rows):
@@ -745,7 +758,7 @@ def _closure(field, rows: list, mats):
                              for k in range(0, len(prod), step)]
         return basis
 
-    basis, pivots = span(np.array(rows, dtype=np.int64) if arrays else rows)
+    basis, pivots = span(rows)
     new = basis
     while len(new) and len(pivots) < len(basis[0]):
         old = set(pivots)
@@ -781,9 +794,9 @@ def _spin(field, mats, vec: list) -> list[list]:
     """RREF basis of the smallest subspace containing vec and invariant under
     mats (a list, or a (g, t, t) int64 array over GF(p)): the closure of
     [vec] under their transposes, since a row v maps to (m v)^T = v m^T."""
-    if isinstance(mats, np.ndarray):
-        return _closure(field, [vec], mats.transpose(0, 2, 1)).tolist()
-    return _closure(field, [vec], [list(zip(*m)) for m in mats])
+    if isinstance(mats, list):
+        return _closure(field, [vec], [list(zip(*m)) for m in mats])
+    return _closure(field, [vec], mats.transpose(0, 2, 1)).tolist()
 
 
 def irreducibility_check(rep: CliffordRep, seed: int = 0,

@@ -9,8 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .clifford import CliffordRep, equivalence_test, verify_relation
 from .errors import (GammaConstructionError, InputError, InternalInconsistency,
@@ -334,16 +332,19 @@ class _RandrangeStream:
     w = ceil(k/32) Mersenne Twister words, least significant first, keeping
     the top bits of the last.  One ``getrandbits(32*w*m)`` call therefore
     holds m such draws in order.  Accepted values beyond a request carry
-    into the next one, so the stream never skips a value.
+    into the next one, so the stream never skips a value.  The values come
+    as an int64 array where ``linalg.fits_int64(p)``, else an object array.
     """
 
     def __init__(self, rng: random.Random, p: int):
+        import numpy as np
         self._rng, self._p = rng, p
         self._k = p.bit_length()
         self._w = -(-self._k // 32)
         self._carry = np.empty(0, dtype=linalg.modp_dtype(p))
 
-    def take(self, count: int) -> np.ndarray:
+    def take(self, count: int):
+        import numpy as np
         p, k, w = self._p, self._k, self._w
         parts = [self._carry]
         have = len(self._carry)
@@ -377,6 +378,7 @@ def random_search(ring: PolyRing, f: Poly, d: int, t: int, seed: int,
     candidates, and survivors are checked and deduped in sample order:
     hits, sample indices and counts do not depend on the block size.
     """
+    import numpy as np
     field = ring.field
     if field.kind != "GF":
         raise InputError("random search runs over prime fields only")

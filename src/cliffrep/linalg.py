@@ -15,23 +15,34 @@ object array above.  ``modp_mat_pow`` is a loop over it.  ``rref_modp`` is
 the numpy twin of ``_eliminate`` on int64 arrays.  Only callers that
 already hold arrays call these: the batched search screen, and the
 structure kernels of ``clifford``, which alone decide when a GF(p) matrix
-becomes an array.
+becomes an array; ``fits_int64`` is the bound that decision reads.
+
+numpy is needed only by this array half, and it is imported by the
+functions that use it, on first call.  So ``equiv`` and ``irreducible`` at
+t >= 3 over GF(p < 2^31) (and ``irreducible`` over QQ, whose algebra span
+is taken mod 2^31 - 1), Hom dimensions and ``search`` load it;
+``ulrich-check``, ``verify``, ``det``, ``cohomology``, ``construct`` and
+``specialize`` never do.
 """
 from __future__ import annotations
 
 from operator import mul
 
-import numpy as np
-
 from .fields import Field
 
-_NP_LIMIT = 1 << 31  # products must fit in int64
 _INT64_BOUND = 1 << 63
+
+
+def fits_int64(p: int) -> bool:
+    """Whether residues mod p have pairwise products that fit in int64,
+    i.e. p < 2^31: the bound below which arrays of residues are int64."""
+    return p < 1 << 31
 
 
 def modp_dtype(p: int):
     """Array dtype for residues mod p whose pairwise products stay exact."""
-    return np.int64 if p < _NP_LIMIT else object
+    import numpy as np
+    return np.int64 if fits_int64(p) else object
 
 
 def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
@@ -73,10 +84,10 @@ def _eliminate(field: Field, mat: list) -> tuple[list, list[int], object]:
     return a, pivots, product
 
 
-def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+def rref_modp(a, p: int) -> tuple:
     """The numpy twin of ``_eliminate`` over GF(p), p < 2^31, on an int64
     array with entries of absolute value below p, which it reduces in place
-    and returns.
+    and returns with the pivot columns and the signed pivot product.
 
     A pivot row is zero left of its pivot column, so each update touches
     only the columns from the pivot on.  Each pivot step adds less than p^2
@@ -84,6 +95,7 @@ def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     reduction mod p and one remainder at the end makes the rows canonical;
     only the pivot column and pivot row are reduced as they are read.
     """
+    import numpy as np
     rows, cols = a.shape
     lazy = (cols + 1) * p * p < _INT64_BOUND
     if not lazy:
@@ -188,7 +200,7 @@ def mat_mul(field: Field, a: list, b: list) -> list:
              for col in cols] for row in a]
 
 
-def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_modp(a, b, p: int):
     """a @ b mod p, batched over leading axes, for entries in [0, p).
 
     One product when it is exact: in an object array of Python ints, and in
@@ -202,12 +214,13 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a @ (b >> 16)) % p * 65536 + a @ (b & 0xFFFF)) % p
 
 
-def modp_mat_pow(a: np.ndarray, d: int, p: int) -> np.ndarray:
+def modp_mat_pow(a, d: int, p: int):
     """a^d over GF(p) for d >= 1, batched over the leading axes of an integer
-    array of shape (..., t, t) with entries in [0, p): int64 below
-    ``_NP_LIMIT``, an object array of Python ints above.  Kept by this name
-    because the benchmark tracer wraps it.
+    array of shape (..., t, t) with entries in [0, p): int64 where
+    ``fits_int64(p)``, an object array of Python ints above.  Kept by this
+    name because the benchmark tracer wraps it.
     """
+    import numpy as np
     a = np.asarray(a, dtype=modp_dtype(p))
     out = a
     for _ in range(d - 1):

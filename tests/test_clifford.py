@@ -646,6 +646,46 @@ def test_package_modules_import_no_private_names():
         assert not private, f"{path.name}: imports private names {private}"
 
 
+def _numpy_imports(node, function=None):
+    """(bound name, innermost enclosing function or None, line) of every
+    import of numpy under node; a class body is no function scope."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            module = getattr(child, "module", None)
+            for alias in child.names:
+                if (module or alias.name).split(".")[0] == "numpy":
+                    yield alias.asname or alias.name.split(".")[0], function, child.lineno
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_imports(child, child)
+        else:
+            yield from _numpy_imports(
+                child, None if isinstance(child, ast.ClassDef) else function)
+
+
+def test_package_imports_numpy_only_inside_functions():
+    # the certify paths never load numpy: each array kernel imports it in
+    # its own body and uses it there, and no signature names it, since no
+    # module binds it
+    root = pathlib.Path(cr.__file__).parent
+    seen = 0
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, function, line in _numpy_imports(tree):
+            seen += 1
+            assert function is not None, f"{path.name}:{line}: numpy imported outside a function"
+            used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+            assert name in used, f"{path.name}:{line}: {function.name} never uses {name}"
+        annotations = [node.annotation for node in ast.walk(tree)
+                       if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+        annotations += [node.returns for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.returns]
+        named = sorted({ast.unparse(a) for a in annotations
+                        if re.search(r"\b(np|numpy)\b", ast.unparse(a))})
+        assert not named, f"{path.name}: annotations name numpy: {named}"
+    assert seen  # the array kernels do import it
+
+
 def test_only_generators_picks_lists_or_arrays():
     # one function decides whether a rep's A_i are a list or an int64 array
     root = pathlib.Path(cr.__file__).parent

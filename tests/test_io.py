@@ -100,16 +100,71 @@ def test_cli_verify(pencil_files, capsys):
     assert cli_dispatch(["verify", str(pencil_files["bare"])]) == 1
 
 
-def test_cli_runs_as_a_module(pencil_files):
-    # python -m cliffrep.cli exits with the verdict, not silently with 0
+def _fresh_python(*argv):
+    """Run a fresh interpreter on this package's sources."""
     src = str(pathlib.Path(cr.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "cliffrep.cli", "verify", str(pencil_files["bare"]), "--json"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_runs_as_a_module(pencil_files):
+    # python -m cliffrep.cli exits with the verdict, not silently with 0
+    run = _fresh_python("-m", "cliffrep.cli", "verify", str(pencil_files["bare"]), "--json")
     assert run.returncode == 1
     assert json.loads(run.stdout)["verdict"] == "fail"
+
+
+_NO_NUMPY = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises
+from cliffrep.cli import cli_dispatch
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_dispatch(argv)
+    runs.append([code, out.getvalue()])
+sys.stdout.write(json.dumps(runs))
+"""
+
+
+def test_certify_commands_run_without_numpy(tmp_path, capsys):
+    # the certificate, the relation, det, cohomology and the constructors
+    # work on lists: a fresh interpreter that cannot import numpy gives the
+    # same exit codes and bytes as this one
+    clock = tmp_path / "clock.pencil"
+    cr.save_pencil(clock_rep(cr.prime_field(7), [1, 2, 4]), str(clock))
+    gamma = tmp_path / "gamma.pencil"
+    cr.save_pencil(cr.gamma_quadric_rep(cr.PolyRing(cr.rationals(), 0, 4),
+                                        [1, -1, 2, -2]), str(gamma))
+    param = tmp_path / "param.pencil"
+    cr.save_pencil(cr.hyperplane_rep(cr.parse_poly(
+        "t1*y0 + y1", cr.PolyRing(cr.rationals(), 1, 2))), str(param))
+    commands = [[check, str(path), "--json"] for check in ("ulrich-check", "verify", "det")
+                for path in (clock, gamma)]
+    commands += [["cohomology", "--n", "3", "--d", "2", "--json"],
+                 ["construct", "gamma", "--field", "QQ", "--coeffs", "1,-1,2,-2"],
+                 ["construct", "clock-shift", "--field", "GF(7)", "--roots", "1,2,4"],
+                 ["specialize", str(param), "--at", "t1=5"]]
+    expected = []
+    for argv in commands:
+        code = cli_dispatch(argv)
+        expected.append([code, capsys.readouterr().out])
+    run = _fresh_python("-c", _NO_NUMPY, json.dumps(commands))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == expected
+    assert [code for code, _ in expected] == [0] * len(commands)
+    # the control: equivalence at t = 3 over GF(7) runs on arrays, so the
+    # boundary above is real
+    control = _fresh_python(
+        "-c", "import sys\nfrom cliffrep.cli import cli_dispatch\n"
+        "code = cli_dispatch(['equiv', sys.argv[1], sys.argv[1], '--json'])\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)", str(clock))
+    assert control.returncode == 0, control.stderr
+    assert control.stderr.split() == ["0", "True"]
+    assert json.loads(control.stdout)["verdict"] == "pass"
 
 
 def test_cli_det(pencil_files, capsys):

@@ -219,7 +219,8 @@ def gamma_generators(field: Field, coeffs: list) -> list:
         twist = gens[0]
         for g in gens[1:]:
             twist = linalg.mat_mul(field, twist, g)
-        twist_sq = linalg.mat_mul(field, twist, twist)[0][0]
+        # entry (0, 0) of twist^2: row 0 of twist times its column 0
+        twist_sq = linalg.mat_mul(field, twist[:1], [row[:1] for row in twist])[0][0]
         idx += 2
     if idx < len(coeffs):
         a = field.div(coeffs[idx], twist_sq)

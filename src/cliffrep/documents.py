@@ -43,12 +43,24 @@ def ring_from_header(doc: dict) -> PolyRing:
     return PolyRing(field, base, fiber)
 
 
-def _grid_from_strings(grid, ring: PolyRing) -> list:
+def _grid_from_strings(grid, ring: PolyRing, parsed: dict) -> list:
+    """A matrix of entry strings as Polys.  ``parsed`` maps the strings of
+    the document read so far to their Polys: one loader call makes it and
+    shares it between its grids, so each distinct string is parsed once."""
     if (not isinstance(grid, list) or not all(isinstance(row, list) for row in grid)
             or len({len(row) for row in grid}) > 1):
         raise InputError(f"a matrix must be a list of rows of one length, got {grid!r}")
-    return [[parse_poly(_text(text, "a polynomial entry"), ring) for text in row]
-            for row in grid]
+    out = []
+    for row in grid:
+        polys = []
+        for text in row:
+            text = _text(text, "a polynomial entry")
+            poly = parsed.get(text)
+            if poly is None:
+                poly = parsed[text] = parse_poly(text, ring)
+            polys.append(poly)
+        out.append(polys)
+    return out
 
 
 def pencil_document(rep: CliffordRep, metadata: dict | None = None) -> dict:
@@ -83,7 +95,8 @@ def load_pencil_document(doc: dict) -> CliffordRep:
         raise InputError(f"matrices must be a list, got {grids!r}")
     if len(grids) != ring.fiber_count:
         raise InputError(f"expected {ring.fiber_count} matrices, got {len(grids)}")
-    mats = [_grid_from_strings(g, ring) for g in grids]
+    parsed: dict = {}
+    mats = [_grid_from_strings(g, ring, parsed) for g in grids]
     pencil = LinearPencil(ring, mats)
     if "size" in doc and _integer(doc["size"], "size") != pencil.size:
         raise InputError(f"declared size {doc['size']} != actual {pencil.size}")
@@ -125,8 +138,9 @@ def load_mf_document(doc: dict) -> MFPair:
     ring = ring_from_header(doc)
     try:
         f = parse_poly(_text(doc["f"], "f"), ring)
-        phi = _grid_from_strings(doc["phi"], ring)
-        psi = _grid_from_strings(doc["psi"], ring)
+        parsed: dict = {}
+        phi = _grid_from_strings(doc["phi"], ring, parsed)
+        psi = _grid_from_strings(doc["psi"], ring, parsed)
     except KeyError as exc:
         raise InputError(f"matrix factorization document missing key {exc}") from exc
     return MFPair(phi, psi, f)
@@ -136,7 +150,8 @@ def load_factors_document(doc: dict) -> tuple[list, Poly]:
     ring = ring_from_header(doc)
     try:
         f = parse_poly(_text(doc["f"], "f"), ring)
-        factors = [_grid_from_strings(g, ring) for g in doc["factors"]]
+        parsed: dict = {}
+        factors = [_grid_from_strings(g, ring, parsed) for g in doc["factors"]]
     except KeyError as exc:
         raise InputError(f"factor chain document missing key {exc}") from exc
     return factors, f

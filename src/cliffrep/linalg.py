@@ -2,11 +2,20 @@
 
 This is the only code that multiplies, powers or eliminates matrices of
 scalars.  Matrices are lists of row lists of scalars (Fractions over QQ,
-residues over GF(p)).  One Gauss-Jordan elimination, ``_eliminate``, gives
-the reduced rows, the pivot columns and the signed pivot product, and
-``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` read their answers
-off it, for every field and size.  There is no separate integer path: QQ
-matrices are eliminated exactly over Fractions.
+residues over GF(p)).
+
+Lists have one product, ``mat_mul``.  It reads each factor's rows as
+(column, entry) pairs (``nonzero_rows``), adds only products of two
+nonzero entries into an accumulator (``add_product``) and reduces each
+entry once mod p (``reduced``): gamma, clock and block generators have
+about two nonzeros a row.  ``pencil.power_coefficients`` keeps one such
+accumulator per monomial of M(y)^d and reduces it once.
+
+One Gauss-Jordan elimination, ``_eliminate``, gives the reduced rows, the
+pivot columns and the signed pivot product, and ``rref``, ``rank``,
+``nullspace``, ``inv`` and ``det`` read their answers off it, for every
+field and size.  There is no separate integer path: QQ matrices are
+eliminated exactly over Fractions.
 
 Arrays of residues have one product, ``matmul_modp``: exact mod p for
 int64 entries below 2^31 (one product while no sum of products can reach
@@ -25,8 +34,6 @@ is taken mod 2^31 - 1), Hom dimensions and ``search`` load it;
 ``specialize`` never do.
 """
 from __future__ import annotations
-
-from operator import mul
 
 from .fields import Field
 
@@ -185,19 +192,34 @@ def inv(field: Field, mat: list) -> list | None:
     return [row[n:] for row in reduced[:n]]
 
 
-def mat_mul(field: Field, a: list, b: list) -> list:
-    """Product a*b; each entry is one plain sum of products, reduced once mod p.
+def nonzero_rows(mat) -> list:
+    """Each row of mat as its (column, entry) pairs with a nonzero entry."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in mat]
 
-    Over QQ zero factors are skipped: a Fraction product costs far more than
-    the test, and the matrices here are sparse.
-    """
-    cols = list(zip(*b))
-    if field.kind == "GF":
-        p = field.p
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-    zero = field.zero
-    return [[sum((x * y for x, y in zip(row, col) if x and y), zero)
-             for col in cols] for row in a]
+
+def add_product(acc: list, a_rows: list, b_rows: list) -> None:
+    """acc += a*b in place for a and b given by ``nonzero_rows``, forming
+    only products of two nonzero entries and leaving the sums unreduced."""
+    for out, row in zip(acc, a_rows):
+        for k, x in row:
+            for j, y in b_rows[k]:
+                out[j] += x * y
+
+
+def reduced(field: Field, acc: list) -> list:
+    """The accumulated rows as canonical scalars: one remainder per entry
+    over GF(p); over QQ the Fraction sums already are."""
+    p = field.p
+    return [[x % p for x in row] for row in acc] if p else acc
+
+
+def mat_mul(field: Field, a: list, b: list) -> list:
+    """Product a*b, forming only products of two nonzero entries and reducing
+    each entry once mod p: the matrices here have about two nonzeros a row."""
+    cols = len(b[0]) if b else 0
+    acc = [[field.zero] * cols for _ in a]
+    add_product(acc, nonzero_rows(a), nonzero_rows(b))
+    return reduced(field, acc)
 
 
 def matmul_modp(a, b, p: int):

@@ -16,6 +16,7 @@ inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import linalg
 from .errors import (ExponentOverflow, InputError, MatrixFactorizationError,
@@ -165,26 +166,35 @@ def pencil_at(pencil: LinearPencil, point: dict) -> list:
 def power_coefficients(pencil: LinearPencil, d: int) -> dict[tuple, list]:
     """The coefficients of M(y)^d, multiplied left to right; zero ones dropped.
 
-    For d = 1 these are the pencil's own (shared) coefficient matrices.
-    Raises ExponentOverflow when a product reaches an exponent of EXP_CAP.
+    Each step keeps one accumulator per monomial of the product, adds every
+    product of two coefficient matrices with that monomial into it through
+    ``linalg.add_product`` (products of nonzero entries only) and reduces it
+    once.  For d = 1 these are the pencil's own (shared) coefficient
+    matrices.  Raises ExponentOverflow when a product reaches an exponent of
+    EXP_CAP.
     """
     if d < 1:
         raise InputError("power must be >= 1")
-    field = pencil.ring.field
-    base = pencil.coefficients
-    power = base
+    field, t = pencil.ring.field, pencil.size
+    base = [(beta, linalg.nonzero_rows(y)) for beta, y in pencil.coefficients.items()]
+    power = pencil.coefficients
     for _ in range(d - 1):
         out: dict = {}
         for alpha, x in power.items():
-            for beta, y in base.items():
-                key = tuple(a + b for a, b in zip(alpha, beta))
-                if any(e >= EXP_CAP for e in key):
+            x_rows = linalg.nonzero_rows(x)
+            for beta, y_rows in base:
+                key = tuple(map(add, alpha, beta))
+                if max(key) >= EXP_CAP:
                     raise ExponentOverflow(f"exponent exceeds {EXP_CAP - 1} in product")
-                prod = linalg.mat_mul(field, x, y)
                 acc = out.get(key)
-                out[key] = prod if acc is None else [
-                    [field.add(u, v) for u, v in zip(r, s)] for r, s in zip(acc, prod)]
-        power = {k: m for k, m in out.items() if any(any(row) for row in m)}
+                if acc is None:
+                    acc = out[key] = [[field.zero] * t for _ in range(t)]
+                linalg.add_product(acc, x_rows, y_rows)
+        power = {}
+        for key, acc in out.items():
+            m = linalg.reduced(field, acc)
+            if any(map(any, m)):
+                power[key] = m
     return power
 
 

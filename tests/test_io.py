@@ -8,10 +8,11 @@ import pytest
 
 import cliffrep as cr
 from cliffrep.cli import build_parser, cli_dispatch
-from cliffrep.documents import (dumps_document, load_pencil_document,
-                                pencil_document)
-from cliffrep.errors import InputError
-from conftest import block_quadric_rep, clock_rep, paper_phi, quadric_ring
+from cliffrep import documents
+from cliffrep.documents import (dumps_document, load_mf_document,
+                                load_pencil_document, pencil_document)
+from cliffrep.errors import InputError, ParseError
+from conftest import block_quadric_rep, clock_rep, paper_f, paper_phi, quadric_ring
 
 
 def test_document_round_trip_bytes(block_rep_qq):
@@ -37,6 +38,64 @@ def test_document_size_mismatch_rejected(block_rep_qq):
     with pytest.raises(InputError):
         load_pencil_document(doc)
 
+
+def test_repeated_malformed_entry_raises_its_parse_error(qq):
+    ring = cr.PolyRing(qq, 1, 2)
+    with pytest.raises(ParseError) as want:
+        cr.parse_poly("2*t1 +", ring)
+    doc = {"field": "QQ", "base_vars": 1, "fiber_vars": 2, "degree": 1, "f": "y0",
+           "matrices": [[["1", "2*t1 +"]], [["2*t1 +", "0"]]]}
+    with pytest.raises(ParseError) as got:
+        load_pencil_document(doc)
+    assert str(got.value) == str(want.value)
+    assert got.value.position == want.value.position is not None
+
+
+@pytest.mark.parametrize("entry", [0, ["0"], None])
+def test_non_string_after_a_repeated_string_is_an_input_error(entry):
+    doc = {"field": "QQ", "fiber_vars": 2, "degree": 1, "f": "y0",
+           "matrices": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", entry]]]}
+    with pytest.raises(InputError, match="a polynomial entry must be a string"):
+        load_pencil_document(doc)
+
+
+def test_each_distinct_entry_is_parsed_once_per_load(tmp_path, monkeypatch):
+    ring = cr.PolyRing(cr.prime_field(101), 0, 6)
+    rep = cr.gamma_quadric_rep(ring, [1, 2, 3, 4, 5, 6])
+    path = tmp_path / "gamma.pencil"
+    cr.save_pencil(rep, str(path))
+    doc = json.loads(path.read_text())
+    distinct = {text for grid in doc["matrices"] for row in grid for text in row}
+    calls = []
+    original = documents.parse_poly
+
+    def counting(text, ring):
+        calls.append(text)
+        return original(text, ring)
+
+    monkeypatch.setattr(documents, "parse_poly", counting)
+    first, _ = cr.read_pencil(str(path))
+    counts = [len(calls)]
+    again, _ = cr.read_pencil(str(path))
+    counts.append(len(calls) - counts[0])
+    # f plus each distinct entry, on every load: no parse outlives its load
+    assert len(distinct) < 6 * 8 * 8
+    assert counts == [len(distinct) + 1] * 2
+    assert first == again == rep
+
+
+def test_mf_document_with_shared_entries_loads_as_parsed_one_by_one(qq):
+    ring = quadric_ring(qq)
+    phi = [["y0", "y1"], ["y2", "y3"]]
+    psi = [["y3", "-y1"], ["-y2", "y0"]]
+    pair = load_mf_document({"field": "QQ", "fiber_vars": 4, "f": "y0*y3 - y1*y2",
+                             "phi": phi, "psi": psi})
+
+    def parsed(grid):
+        return [[cr.parse_poly(text, ring) for text in row] for row in grid]
+
+    assert pair == cr.MFPair(parsed(phi), parsed(psi), paper_f(ring))
+    assert pair.phi[0][0] == pair.psi[1][1]
 
 def test_save_and_read(tmp_path, block_rep_qq):
     path = tmp_path / "block.pencil"

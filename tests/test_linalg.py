@@ -1,5 +1,6 @@
 """The one elimination in linalg: its numpy twin, and the laws every answer
-read off it must obey over QQ and GF(p); the one array product."""
+read off it must obey over QQ and GF(p); the one list product and the one
+array product."""
 import random
 import sys
 from fractions import Fraction
@@ -178,6 +179,53 @@ def test_qq_rank_and_det_when_a_large_prime_divides_det():
                                             for row in mat]) == 0
 
 
+
+PRODUCT_FIELDS = [cr.prime_field(7), cr.prime_field((1 << 31) - 1),
+                  cr.prime_field((1 << 61) - 1), QQ]
+
+
+def dot_product(field, a, b):
+    """The reference product: entry (i, j) is the plain sum over k of
+    a[i][k] * b[k][j], reduced mod p over GF(p), a Fraction over QQ."""
+    out = []
+    for row in a:
+        line = []
+        for j in range(len(b[0])):
+            total = sum(row[k] * b[k][j] for k in range(len(b)))
+            line.append(total % field.p if field.p else Fraction(total))
+        out.append(line)
+    return out
+
+
+def unreduced(field):
+    """Zero often; over GF(p) also negatives and multiples of p, which the
+    product must reduce; over QQ fractions with denominators."""
+    if field.kind == "QQ":
+        return st.one_of(st.just(Fraction(0)),
+                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    p = field.p
+    return st.one_of(st.just(0), st.sampled_from([p, -p, 2 * p, -1, 1 - p, p - 1]),
+                     st.integers(-3 * p, 3 * p))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from(PRODUCT_FIELDS),
+       rows=st.integers(1, 6), inner=st.integers(1, 6), cols=st.integers(1, 6))
+def test_mat_mul_matches_dot_product(data, field, rows, inner, cols):
+    entry = unreduced(field)
+    a = [[data.draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(entry) for _ in range(cols)] for _ in range(inner)]
+    for i in data.draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [field.zero] * inner  # a zero row of a
+    for j in data.draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in b:
+            row[j] = field.zero  # a zero column of b
+    got = linalg.mat_mul(field, a, b)
+    assert got == dot_product(field, a, b)
+    if field.p:
+        assert all(type(x) is int and 0 <= x < field.p for row in got for x in row)
+    else:
+        assert all_fractions(got)
 
 def int_product(a, b, p):
     """a*b mod p in Python ints, the reference for the array product."""

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffrep as cr
-from cliffrep.errors import (InputError, MatrixFactorizationError,
-                             NonLinearEntry)
+from cliffrep.errors import (ExponentOverflow, InputError,
+                             MatrixFactorizationError, NonLinearEntry)
+from cliffrep.pencil import power_coefficients
+from cliffrep.poly import EXP_CAP
 from conftest import paper_f, paper_phi, quadric_ring, random_linear_matrix
 
 
@@ -120,6 +124,83 @@ def test_pencil_power_matches_poly_product(qq, gf7):
             assert cr.mat_eq(cr.pencil_power(pencil, d), product)
             product = cr.mat_mul(product, matrix)
 
+
+def dense_mul(field, a, b):
+    """A dense product of coefficient matrices: the oracle's."""
+    cols = list(zip(*b))
+    if field.kind == "GF":
+        return [[sum(x * y for x, y in zip(row, col)) % field.p for col in cols]
+                for row in a]
+    return [[sum((x * y for x, y in zip(row, col) if x and y), field.zero)
+             for col in cols] for row in a]
+
+
+def dense_power(pencil, d):
+    """The coefficients of M^d by dense products, left to right, summed per
+    monomial with ``field.add``: the oracle for ``power_coefficients``."""
+    field = pencil.ring.field
+    base = pencil.coefficients
+    power = base
+    for _ in range(d - 1):
+        out = {}
+        for alpha, x in power.items():
+            for beta, y in base.items():
+                key = tuple(a + b for a, b in zip(alpha, beta))
+                if any(e >= EXP_CAP for e in key):
+                    raise ExponentOverflow(f"exponent exceeds {EXP_CAP - 1} in product")
+                prod = dense_mul(field, x, y)
+                acc = out.get(key)
+                out[key] = prod if acc is None else [
+                    [field.add(u, v) for u, v in zip(r, s)] for r, s in zip(acc, prod)]
+        power = {k: m for k, m in out.items() if any(any(row) for row in m)}
+    return power
+
+
+def typed(coefficients):
+    """Keys in order, entries with their types: int 0 and Fraction(0) differ."""
+    return [(k, [[(type(x), x) for x in row] for row in m])
+            for k, m in coefficients.items()]
+
+
+POWER_FIELDS = [cr.prime_field(3), cr.prime_field(7), cr.prime_field((1 << 61) - 1),
+                cr.rationals()]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), field=st.sampled_from(POWER_FIELDS), size=st.integers(1, 5),
+       base_vars=st.integers(0, 1), fiber_vars=st.integers(1, 3),
+       density=st.sampled_from([0, 0.2, 0.5, 1]), d=st.integers(1, 4))
+def test_power_coefficients_match_dense_power(data, field, size, base_vars, fiber_vars,
+                                              density, d):
+    # sparse to dense generators, one of them possibly all zero, over a base
+    # variable whose exponents make several products share a monomial
+    ring = cr.PolyRing(field, base_vars, fiber_vars)
+    rng = data.draw(st.randoms(use_true_random=False))
+    zero_generator = data.draw(st.integers(-1, fiber_vars - 1))
+    coefficients = {}
+    for i in range(fiber_vars):
+        for e in range(base_vars + 1 if base_vars else 1):
+            key = tuple(int(k == i) for k in range(fiber_vars)) + (e,) * base_vars
+            coefficients[key] = [
+                [0 if i == zero_generator or rng.random() >= density
+                 else field.of(rng.choice([1, -1, 2, Fraction(1, 2)]))
+                 for _ in range(size)] for _ in range(size)]
+    pencil = cr.LinearPencil.from_coefficients(ring, size, coefficients)
+    assert typed(power_coefficients(pencil, d)) == typed(dense_power(pencil, d))
+
+
+@pytest.mark.parametrize("exponent, d", [(40000, 2), (30000, 3)])
+def test_power_overflow_message(qq, exponent, d):
+    # t1^exponent reaches the cap only at the d-th factor, after pairs that fit
+    ring = cr.PolyRing(qq, 1, 2)
+    pencil = cr.LinearPencil.from_coefficients(
+        ring, 2, {(1, 0, 0): [[1, 0], [0, 1]], (0, 1, exponent): [[0, 1], [1, 0]]})
+    with pytest.raises(ExponentOverflow) as want:
+        dense_power(pencil, d)
+    with pytest.raises(ExponentOverflow) as got:
+        power_coefficients(pencil, d)
+    assert str(got.value) == str(want.value) == "exponent exceeds 65535 in product"
+    assert power_coefficients(pencil, d - 1)
 
 def test_power_entries_y_homogeneous(gf7):
     ring = cr.PolyRing(gf7, 0, 3)
